@@ -26,6 +26,7 @@ from .graph import (
     dump_edge_list,
     extended_neighborhood,
     load_edge_list,
+    settle,
     shortest_paths,
 )
 from .montecarlo import ConvergenceTrace, max_relative_error, mc_shapley
@@ -55,6 +56,7 @@ __all__ = [
     "max_relative_error",
     "mc_shapley",
     "run_comparison",
+    "settle",
     "shapley_g1",
     "shapley_g2",
     "shapley_g3",

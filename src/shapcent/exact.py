@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .games import DecayFn, GameSpec, GameSpecError
-from .graph import Graph, shortest_paths
+from .games import DecayFn, GameSpec, GameSpecError, cutoff_covers
+from .graph import Graph, settle
 
 INF = math.inf
 
@@ -123,33 +123,28 @@ def shapley_g3(g: Graph, d_cutoff) -> ShapleyVector:
     """Exact Shapley values for the distance-cutoff game.
 
     d_cutoff is a uniform positive real or a per-node map; the cutoff of
-    the *covered* node decides membership.
+    the *covered* node decides membership. One Dijkstra search per node,
+    bounded at the largest cutoff, finds the nodes it covers.
     """
     spec = GameSpec.cutoff(d_cutoff)
-    cut = spec.d_cutoff_values(g)
-    n = g.node_count
-    ext_degree = [0] * n
-    covers: list[list[int]] = [[] for _ in range(n)]
-    for src in range(n):
-        for node, d in shortest_paths(g, src, "forward").entries:
-            if d <= cut[node]:
-                covers[src].append(node)
-                ext_degree[node] += 1
-    scores = []
-    for v in range(n):
-        terms = [1.0 / (1.0 + ext_degree[v])]
-        terms.extend(1.0 / (1.0 + ext_degree[u]) for u in covers[v])
-        scores.append(math.fsum(terms))
+    covers = cutoff_covers(g, spec.d_cutoff_values(g))
+    ext_degree = [0] * g.node_count
+    for cov in covers:
+        for u in cov:
+            ext_degree[u] += 1
+    inv = [1.0 / (1.0 + e) for e in ext_degree]
+    scores = [math.fsum([inv[v]] + [inv[u] for u in cov]) for v, cov in enumerate(covers)]
     return ShapleyVector(tuple(scores), game="g3", method="exact")
 
 
 def shapley_g4(g: Graph, f: DecayFn) -> ShapleyVector:
     """Exact Shapley values for the decay-weighted proximity game.
 
-    Each node's pass sorts the other nodes by their distance *to* it
+    Each node's pass takes the other nodes in ascending distance *to* it
     (reverse orientation on directed graphs) and accumulates expected
     marginal contributions with a backward cumulative sum; equal-distance
-    nodes share one value.
+    nodes share one value. Unreachable nodes are skipped: f(inf) = 0, so
+    they add nothing.
     """
     if not isinstance(f, DecayFn):
         f = DecayFn.custom(f)
@@ -157,12 +152,12 @@ def shapley_g4(g: Graph, f: DecayFn) -> ShapleyVector:
     scores = [0.0] * n
     orientation = "reverse" if g.directed else "forward"
     for target in range(n):
-        entries = shortest_paths(g, target, orientation).entries
+        row = settle(g, target, orientation)  # row[0] is the target itself
         acc = 0.0
         prev_d: float | None = None
         prev_sv = 0.0
-        for index in range(n - 1, 0, -1):
-            node, d = entries[index - 1]
+        for index in range(len(row) - 1, 0, -1):
+            d, node = row[index]
             fd = f(d)
             if prev_d is not None and d == prev_d:
                 curr = prev_sv

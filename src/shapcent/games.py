@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
-from .graph import Graph, shortest_paths
+from .graph import Graph, settle
 
 GAME_TAGS = ("g1", "g2", "g3", "g4", "g5")
 
@@ -95,8 +95,9 @@ class DecayFn:
 class GameSpec:
     """One of the five games plus its per-node parameters.
 
-    Per-node maps may be given as a uniform scalar shorthand; they are
-    broadcast over all nodes at evaluation time.
+    Per-node maps may be given as a uniform scalar shorthand (numpy
+    scalars included); they are broadcast over all nodes at evaluation
+    time.
     """
 
     game: str
@@ -111,6 +112,20 @@ class GameSpec:
         needed = {"g2": self.k, "g3": self.d_cutoff, "g4": self.decay, "g5": self.w_cutoff}
         if self.game in needed and needed[self.game] is None:
             raise GameSpecError(f"game {self.game} requires its parameter")
+        import numbers
+
+        for name in ("k", "d_cutoff", "w_cutoff"):
+            param = getattr(self, name)
+            if param is None or isinstance(param, (int, float, Mapping)):
+                continue
+            if not isinstance(param, numbers.Real):
+                raise GameSpecError(
+                    f"parameter {name} must be a number or a per-node map, "
+                    f"got {type(param).__name__}"
+                )
+            # numpy scalars become plain numbers, which evaluation broadcasts
+            plain = int(param) if isinstance(param, numbers.Integral) else float(param)
+            object.__setattr__(self, name, plain)
 
     @staticmethod
     def fringe() -> "GameSpec":
@@ -136,7 +151,10 @@ class GameSpec:
         """Per-node k, range-checked against 1 <= k(v) <= 1 + deg(v)."""
         vals = _broadcast(self.k, g.node_count, "k")
         for v, kv in enumerate(vals):
-            kv = int(kv)
+            if type(kv) is not int:
+                if kv % 1 != 0:  # also catches nan and inf
+                    raise GameSpecError(f"k({v}) = {kv} is not a whole number")
+                kv = int(kv)
             deg = g.degree(v, "in" if g.directed else "undirected")
             if not 1 <= kv <= 1 + deg:
                 raise GameSpecError(
@@ -218,11 +236,23 @@ def _min_distances(
                 if row[v] < best[v]:
                     best[v] = row[v]
         else:
-            best[c] = 0.0
-            for node, d in shortest_paths(g, c, "forward").entries:
+            for d, node in settle(g, c, "forward"):
                 if d < best[node]:
                     best[node] = d
     return best
+
+
+def cutoff_covers(g: Graph, cut: Sequence[float]) -> list[list[int]]:
+    """For each node v, the other nodes u with distance(v, u) <= cut[u].
+
+    These are the nodes v covers in game g3. Each search is bounded at
+    the largest cutoff, so it settles only the ball around v.
+    """
+    limit = max(cut, default=0.0)
+    return [
+        [node for d, node in settle(g, src, "forward", limit)[1:] if d <= cut[node]]
+        for src in range(g.node_count)
+    ]
 
 
 def characteristic_value(

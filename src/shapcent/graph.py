@@ -47,8 +47,9 @@ class Graph:
                 raise GraphError(f"node id out of range in edge ({u}, {v})")
             if u == v:
                 raise GraphError(f"self-loop at node {u}")
-            if not w > 0:
-                raise GraphError(f"non-positive weight {w} on edge ({u}, {v})")
+            if not 0 < w < INF:
+                kind = "non-positive" if math.isfinite(w) else "non-finite"
+                raise GraphError(f"{kind} weight {w} on edge ({u}, {v})")
             key = (u, v) if directed else (min(u, v), max(u, v))
             if key in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
@@ -173,8 +174,9 @@ def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Gr
                 w = float(parts[2])
             except ValueError:
                 raise GraphError(f"line {lineno}: bad weight: {line!r}") from None
-            if not w > 0:
-                raise GraphError(f"line {lineno}: non-positive weight: {line!r}")
+            if not 0 < w < INF:
+                kind = "non-positive" if math.isfinite(w) else "non-finite"
+                raise GraphError(f"line {lineno}: {kind} weight: {line!r}")
         if u == v:
             raise GraphError(f"line {lineno}: self-loop: {line!r}")
         key = (u, v) if directed else (min(u, v), max(u, v))
@@ -217,8 +219,17 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def shortest_paths(g: Graph, source: int, orientation: str = "forward") -> DistanceRow:
-    """Dijkstra single-source distances from (forward) or to (reverse) source."""
+def settle(
+    g: Graph, source: int, orientation: str = "forward", limit: float = INF
+) -> list[tuple[float, int]]:
+    """Dijkstra from (forward) or to (reverse) source, bounded at limit.
+
+    Returns (distance, node) for every node within limit, in settle
+    order: source first, then ascending (distance, node). A candidate
+    above limit is never queued, so the result is the unbounded search
+    filtered to distance <= limit, bit for bit. (A weight that vanishes
+    when added to a distance can settle a tied node out of id order.)
+    """
     g._check_node(source)
     if orientation == "forward":
         adj = g._out
@@ -229,19 +240,27 @@ def shortest_paths(g: Graph, source: int, orientation: str = "forward") -> Dista
     dist = [INF] * g.node_count
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
+    settled: list[tuple[float, int]] = []
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
+        settled.append((d, u))
         for v, w in adj[u]:
             nd = d + w
-            if nd < dist[v]:
+            if nd < dist[v] and nd <= limit:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    entries = sorted(
-        ((node, dist[node]) for node in range(g.node_count) if node != source),
-        key=lambda e: (e[1], e[0]),
-    )
+    return settled
+
+
+def shortest_paths(g: Graph, source: int, orientation: str = "forward") -> DistanceRow:
+    """Single-source distances from (forward) or to (reverse) source."""
+    # sorting restores DistanceRow's tie rule where settle() cannot keep it
+    row = sorted(settle(g, source, orientation))
+    reached = {node for _, node in row}
+    entries = [(node, d) for d, node in row[1:]]
+    entries.extend((node, INF) for node in range(g.node_count) if node not in reached)
     return DistanceRow(source=source, entries=tuple(entries))
 
 
@@ -250,8 +269,7 @@ def distance_matrix(g: Graph, orientation: str = "forward") -> list[list[float]]
     mat: list[list[float]] = []
     for src in range(g.node_count):
         row = [INF] * g.node_count
-        row[src] = 0.0
-        for node, d in shortest_paths(g, src, orientation).entries:
+        for d, node in settle(g, src, orientation):
             row[node] = d
         mat.append(row)
     return mat
@@ -260,17 +278,17 @@ def distance_matrix(g: Graph, orientation: str = "forward") -> list[list[float]]
 def extended_neighborhood(
     g: Graph, v: int, d_cutoff: float
 ) -> tuple[frozenset[int], int]:
-    """Nodes within d_cutoff of v, and the count of nodes that reach v.
+    """Nodes within d_cutoff of v, and the count of nodes that reach v
+    within d_cutoff; v itself is in neither.
 
-    On undirected graphs the two coincide; on directed graphs members
-    follow forward distances while the count uses reverse distances.
+    Both come from searches bounded at d_cutoff. On undirected graphs
+    the two coincide; on directed graphs members follow forward
+    distances while the count uses reverse distances.
     """
     if not d_cutoff > 0:
         raise GraphError(f"d_cutoff must be positive, got {d_cutoff}")
-    forward = shortest_paths(g, v, "forward")
-    members = frozenset(node for node, d in forward.entries if d <= d_cutoff)
+    forward = settle(g, v, "forward", d_cutoff)
+    members = frozenset(node for _, node in forward[1:])
     if not g.directed:
         return members, len(members)
-    reverse = shortest_paths(g, v, "reverse")
-    ext_degree = sum(1 for _, d in reverse.entries if d <= d_cutoff)
-    return members, ext_degree
+    return members, len(settle(g, v, "reverse", d_cutoff)) - 1

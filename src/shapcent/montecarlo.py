@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exact import ShapleyVector
-from .games import GameSpec, grand_value
-from .graph import Graph, distance_matrix, shortest_paths
+from .games import GameSpec, cutoff_covers, grand_value
+from .graph import Graph, distance_matrix
 
 INF = math.inf
 
@@ -127,12 +127,7 @@ def _build_block(g: Graph, spec: GameSpec) -> Callable[[Sequence[int], list[floa
         return apply_g2
 
     if game == "g3":
-        cut = spec.d_cutoff_values(g)
-        covers: list[list[int]] = [[] for _ in range(n)]
-        for src in range(n):
-            for node, d in shortest_paths(g, src, "forward").entries:
-                if d <= cut[node]:
-                    covers[src].append(node)
+        covers = cutoff_covers(g, spec.d_cutoff_values(g))
         stamp = [0] * n
         epoch = [0]
 

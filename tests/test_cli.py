@@ -80,6 +80,13 @@ class TestErrorPaths:
         assert main(["exact", "--game", "g1", "--input", str(bad)]) == 2
         assert "self-loop" in capsys.readouterr().err
 
+    def test_infinite_weight_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "inf.txt"
+        bad.write_text("0 1 1.0\n1 2 inf\n")
+        assert main(["exact", "--game", "g3", "--d-cutoff", "1", "--weighted",
+                     "--input", str(bad)]) == 2
+        assert "line 2: non-finite weight" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(
             ["exact", "--game", "g1", "--input", str(tmp_path / "nope.txt")]

@@ -3,11 +3,14 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapcent import (
     GaussianMoment,
     Graph,
     ShapleyVector,
+    distance_matrix,
     gaussian_interval_prob,
     shapley_g1,
     shapley_g2,
@@ -121,6 +124,20 @@ class TestCutoffSolver:
         g = Graph.build(2, [(0, 1, 1.0)], directed=True)
         # ext_degree(1) = 1 (node 0 reaches it); ext_degree(0) = 0
         assert shapley_g3(g, 1.0).scores == pytest.approx((1.5, 0.5))
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_per_node_cutoff_matches_distance_matrix(self, seed, data):
+        g = random_small_graph(seed, n_max=12, weighted=data.draw(st.booleans()))
+        n = g.node_count
+        cut = {v: data.draw(st.floats(0.05, 3.0)) for v in range(n)}
+        dist = distance_matrix(g)
+        covers = [[u for u in range(n) if u != v and dist[v][u] <= cut[u]] for v in range(n)]
+        ext = [sum(u in cov for cov in covers) for u in range(n)]
+        want = [1.0 / (1 + ext[v]) + sum(1.0 / (1 + ext[u]) for u in covers[v])
+                for v in range(n)]
+        got = shapley_g3(g, cut).scores
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
 
 
 class TestProximitySolver:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,25 @@ class TestGameSpec:
         assert GameSpec.threshold({0: 1, 1: 1, 2: 3}).k_values(g) == [1, 1, 3]
         with pytest.raises(GameSpecError):
             GameSpec.threshold(2).k_values(g)  # sources have in-degree 0
+
+    def test_k_must_be_whole(self, star4):
+        with pytest.raises(GameSpecError, match="not a whole number"):
+            GameSpec.threshold(1.7).k_values(star4)
+        with pytest.raises(GameSpecError, match=r"k\(2\) = 1.5 is not a whole number"):
+            GameSpec.threshold({0: 1, 1: 1, 2: 1.5, 3: 1}).k_values(star4)
+        assert GameSpec.threshold(2.0).k_values(star4) == [2, 2, 2, 2]
+
+    def test_numpy_scalars_are_uniform_values(self, star4):
+        assert GameSpec.threshold(np.int64(2)).k_values(star4) == [2, 2, 2, 2]
+        assert GameSpec.cutoff(np.float32(0.5)).d_cutoff_values(star4) == [0.5] * 4
+        assert GameSpec.weighted_threshold(np.float64(1.5)).w_cutoff_values(star4) == [1.5] * 4
+
+    @pytest.mark.parametrize("bad", ["1.0", [1, 1, 1, 1], np.array([1.0, 1.0]), 1j])
+    def test_non_scalar_non_map_rejected(self, bad):
+        with pytest.raises(GameSpecError, match="must be a number or a per-node map"):
+            GameSpec.threshold(bad)
+        with pytest.raises(GameSpecError, match="must be a number or a per-node map"):
+            GameSpec.cutoff(bad)
 
     def test_map_missing_node(self, path3):
         with pytest.raises(GameSpecError, match="missing node 2"):

@@ -13,6 +13,7 @@ from shapcent import (
     dump_edge_list,
     extended_neighborhood,
     load_edge_list,
+    settle,
     shortest_paths,
 )
 from shapcent.bench import gen_gnp
@@ -40,6 +41,11 @@ class TestBuild:
             Graph.build(3, [(0, 1, 0.0)])
         with pytest.raises(GraphError, match="non-positive weight"):
             Graph.build(3, [(0, 1, -2.0)])
+
+    @pytest.mark.parametrize("w", [INF, -INF, math.nan])
+    def test_non_finite_weight(self, w):
+        with pytest.raises(GraphError, match="non-finite weight"):
+            Graph.build(3, [(0, 1, 1.0), (1, 2, w)], weighted=True)
 
     def test_duplicate_undirected_either_direction(self):
         with pytest.raises(GraphError, match="duplicate edge"):
@@ -132,6 +138,11 @@ class TestEdgeListIO:
         with pytest.raises(GraphError, match="line 1: negative node id"):
             load_edge_list("-1 0\n")
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_weight_reports_line(self, token):
+        with pytest.raises(GraphError, match="line 2: non-finite weight"):
+            load_edge_list(f"0 1 1.0\n1 2 {token}\n", weighted=True)
+
     def test_duplicate_edge_reports_line(self):
         with pytest.raises(GraphError, match="line 3: duplicate edge"):
             load_edge_list("0 1\n1 2\n1 0\n")
@@ -210,6 +221,53 @@ class TestShortestPaths:
             3, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0)], weighted=True
         )
         assert shortest_paths(g, 0).as_dict()[1] == 2.0
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Small graphs, directed or not, with integer weights (which force
+    ties) or weights drawn from (0, 1]."""
+    n = draw(st.integers(1, 9))
+    directed = draw(st.booleans())
+    if draw(st.booleans()):
+        weight = st.integers(1, 3).map(float)
+    else:
+        weight = st.floats(0.0, 1.0, exclude_min=True)
+    pairs = [(u, v) for u in range(n) for v in range(n)
+             if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(u, v, draw(weight)) for u, v in chosen]
+    return Graph.build(n, edges, directed=directed, weighted=True)
+
+
+class TestSettle:
+    @given(g=weighted_graphs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bounded_search_is_full_search_filtered(self, g, data):
+        source = data.draw(st.integers(0, g.node_count - 1))
+        orientation = data.draw(st.sampled_from(["forward", "reverse"]))
+        full = settle(g, source, orientation)
+        limits = [d for d, _ in full] + [data.draw(st.floats(0.0, 4.0))]
+        for limit in limits:
+            bounded = settle(g, source, orientation, limit)
+            # same pairs, same order, bit-identical distances
+            assert bounded == [(d, v) for d, v in full if d <= limit]
+            assert all(d <= limit for d, _ in bounded)
+
+    @given(g=weighted_graphs(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_settles_reachable_nodes_in_distance_order(self, g, data):
+        source = data.draw(st.integers(0, g.node_count - 1))
+        row = settle(g, source)
+        assert row[0] == (0.0, source)
+        reach = floyd_warshall(g)[source]
+        settled = [v for _, v in row]
+        assert len(settled) == len(set(settled))
+        assert set(settled) == {v for v in range(g.node_count) if reach[v] < INF}
+        dists = [d for d, _ in row]
+        assert dists == sorted(dists)
+        if all(w.is_integer() for _, _, w in g.edges):
+            assert row == sorted(row)  # ties in ascending node id
 
 
 class TestExtendedNeighborhood:
