@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+
+import numpy as np
 
 from .games import DecayFn, GameSpec, GameSpecError, cutoff_covers
 from .graph import Graph, settle
@@ -34,18 +35,35 @@ class ShapleyVector:
 
 
 def read_scores(stream, game: str = "g1", method: str = "exact") -> ShapleyVector:
-    """Load a "node,score" CSV (as written by to_csv) into a ShapleyVector."""
+    """Load a "node,score" CSV (as written by to_csv) into a ShapleyVector.
+
+    A malformed line raises ValueError naming its line number: a field
+    count other than two, a non-integer node id, or a score that does not
+    parse or is not finite.
+    """
     if isinstance(stream, str):
         lines = stream.splitlines()
     else:
         lines = stream
     pairs = []
-    for raw in lines:
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        node_s, score_s = line.replace("\t", ",").split(",")
-        pairs.append((int(node_s), float(score_s)))
+        fields = line.replace("\t", ",").split(",")
+        if len(fields) != 2:
+            raise ValueError(f"line {lineno}: expected 2 fields, got {len(fields)}: {line!r}")
+        try:
+            node = int(fields[0])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer node id: {line!r}") from None
+        try:
+            score = float(fields[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: unparseable score: {line!r}") from None
+        if not math.isfinite(score):
+            raise ValueError(f"line {lineno}: non-finite score: {line!r}")
+        pairs.append((node, score))
     pairs.sort()
     if [v for v, _ in pairs] != list(range(len(pairs))):
         raise ValueError("score file does not cover dense node ids")
@@ -170,12 +188,83 @@ def shapley_g4(g: Graph, f: DecayFn) -> ShapleyVector:
     return ShapleyVector(tuple(scores), game="g4", method="exact")
 
 
+# Element budget of one (nodes, neighbors, subsets) block of the g5
+# enumeration; 2^15 needs less peak memory than 2^16 at the same speed.
+_ENUM_BLOCK = 1 << 15
+
+
+def _subset_terms(w: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact g5 terms of the k nodes that share one in-degree d.
+
+    w is (k, d): each node's in-weights in adjacency order; cut is their
+    w_cutoff. Returns the self terms (k,) and the cross terms (k, d),
+    column i being the term that the i-th in-neighbor receives. Nodes go
+    in blocks of at most _ENUM_BLOCK (node, neighbor, subset) elements;
+    a node whose d * 2^d exceeds that goes one neighbor row at a time.
+    """
+    k, d = w.shape
+    masks = np.arange(1 << d)
+    free = np.array([(masks >> i) & 1 == 0 for i in range(d)])  # bit i unset
+    pop = d - free.sum(axis=0)
+    # subsets by ascending size; within a size every added factor is equal,
+    # so the sequential sums below match a size-by-size accumulation
+    order = np.argsort(pop, kind="stable")
+    free, pop = free[:, order], pop[order]
+    q = np.array([1.0 / math.comb(d, m) for m in range(d + 1)])[pop]
+    factor = np.array(
+        [(d - m) / (d * (d + 1.0)) / math.comb(d - 1, m) for m in range(d)] + [0.0]
+    )[pop]
+    self_terms = np.empty(k)
+    cross = np.empty((k, d))
+    block = max(1, _ENUM_BLOCK // (d << d))
+    step = d if d << d <= _ENUM_BLOCK else 1
+    for b in range(0, k, block):
+        nodes = slice(b, b + block)
+        wb = w[nodes]
+        # doubling: entry `mask` is the sum of the masked weights, added
+        # left to right in adjacency order from 0.0, as sum(subset) does
+        # before Python 3.12
+        sums = np.zeros((len(wb), 1))
+        for j in range(d):
+            sums = np.concatenate([sums, sums + wb[:, j : j + 1]], axis=1)
+        sums = sums[:, order]
+        hi = cut[nodes, None]
+        below = sums < hi
+        # cumsum adds left to right, unlike the pairwise np.sum
+        self_terms[nodes] = np.cumsum(np.where(below, q, 0.0), axis=1)[:, -1] / (1.0 + d)
+        lo = hi - wb
+        for i in range(0, d, step):
+            rows = slice(i, i + step)
+            ok = below[:, None, :] & (lo[:, rows, None] <= sums[:, None, :]) & free[rows]
+            cross[nodes, rows] = np.cumsum(np.where(ok, factor, 0.0), axis=-1)[..., -1]
+    return self_terms, cross
+
+
+def _edge_slots(in_adj, out_adj) -> np.ndarray:
+    """Position in the in-adjacency listing of each edge of the
+    out-adjacency listing; edge u->v has key u*n+v in both."""
+    n = len(in_adj)
+    m = sum(len(adj) for adj in in_adj)
+    in_key = np.fromiter((u for adj in in_adj for u, _ in adj), np.int64, m) * n
+    in_key += np.repeat(np.arange(n), [len(adj) for adj in in_adj])
+    out_key = np.repeat(np.arange(n, dtype=np.int64) * n, [len(adj) for adj in out_adj])
+    out_key += np.fromiter((v for adj in out_adj for v, _ in adj), np.int64, m)
+    slot = np.empty(m, dtype=np.int64)
+    slot[np.argsort(out_key)] = np.argsort(in_key)
+    return slot
+
+
 def shapley_g5(g: Graph, w_cutoff, brute_force_degree_limit: int = 12) -> ShapleyVector:
     """Approximate Shapley values for the weighted-threshold game.
 
     High-degree neighbors use the Gaussian subset-sum approximation;
     neighbors with degree <= brute_force_degree_limit (and all degenerate
-    degree-1/2 cases) are enumerated exactly.
+    degree-1/2 cases) are enumerated exactly. The enumeration builds one
+    subset-sum table per node, vectorised over the nodes of each degree.
+    Summation order is fixed: each subset sum adds its weights left to
+    right in adjacency order, each term adds its qualifying subsets'
+    factors one at a time by ascending subset size, and a node's score
+    is its self term plus the cross terms in out-neighbor order.
     """
     if brute_force_degree_limit < 2:
         raise GameSpecError(
@@ -194,18 +283,6 @@ def shapley_g5(g: Graph, w_cutoff, brute_force_degree_limit: int = 12) -> Shaple
         d = deg[vj]
         lo = wc[vj] - wij
         hi = wc[vj]
-        if d <= brute_force_degree_limit:
-            others = [w for u, w in in_adj[vj] if u != vi]
-            factor = [
-                (d - m) / (d * (d + 1.0)) / math.comb(d - 1, m)
-                for m in range(d)
-            ]
-            total = 0.0
-            for m in range(d):
-                for subset in combinations(others, m):
-                    if lo <= sum(subset) < hi:
-                        total += factor[m]
-            return total
         a = alpha[vj] - wij
         b = beta[vj] - wij * wij
         spread = b - a * a / (d - 1.0)
@@ -225,17 +302,6 @@ def shapley_g5(g: Graph, w_cutoff, brute_force_degree_limit: int = 12) -> Shaple
 
     def self_term(vi: int) -> float:
         d = deg[vi]
-        if d == 0:
-            return 1.0
-        if d <= brute_force_degree_limit:
-            weights = [w for _, w in in_adj[vi]]
-            total = 0.0
-            for m in range(d + 1):
-                q = 1.0 / math.comb(d, m)
-                for subset in combinations(weights, m):
-                    if sum(subset) < wc[vi]:
-                        total += q
-            return total / (1.0 + d)
         spread = beta[vi] - alpha[vi] * alpha[vi] / d
         total = 0.0
         for m in range(d + 1):
@@ -250,12 +316,27 @@ def shapley_g5(g: Graph, w_cutoff, brute_force_degree_limit: int = 12) -> Shaple
             total += gaussian_interval_prob(mom, -INF, wc[vi])
         return total / (1.0 + d)
 
+    limit = brute_force_degree_limit
+    selfs = np.array([self_term(v) if deg[v] > limit else 1.0 for v in range(n)])
+    # exact cross terms, one per in-edge in in_adj order
+    start = np.cumsum([0] + deg)
+    cross_in = np.zeros(start[-1])
+    for d in sorted({d for d in deg if 0 < d <= limit}):
+        nodes = [v for v in range(n) if deg[v] == d]
+        weights = np.array([[w for _, w in in_adj[v]] for v in nodes])
+        selfs[nodes], x = _subset_terms(weights, np.array([wc[v] for v in nodes]))
+        cross_in[start[nodes][:, None] + np.arange(d)] = x
+    out_adj = [_sum_neighbors(g, v) for v in range(n)]
+    cross = cross_in[_edge_slots(in_adj, out_adj)]
+
     scores = []
+    e = 0
     for vi in range(n):
-        s = self_term(vi)
-        for vj, wij in _sum_neighbors(g, vi):
-            s += cross_term(vi, vj, wij)
-        scores.append(s)
+        s = selfs[vi]
+        for vj, wij in out_adj[vi]:
+            s += cross[e] if deg[vj] <= limit else cross_term(vi, vj, wij)
+            e += 1
+        scores.append(float(s))
     return ShapleyVector(tuple(scores), game="g5", method="gaussian_approx")
 
 

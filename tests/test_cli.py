@@ -137,6 +137,22 @@ class TestMcCommand:
         assert lines[0] == "iteration,elapsed_ms,max_rel_error"
         assert len(lines) == 11  # 50 iterations / stride 5
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,1.0\n1,0.5,3\n", "line 2: expected 2 fields"),
+            ("0,1.0\nx,0.5\n", "line 2: non-integer node id"),
+            ("0,nan\n1,0.5\n", "line 1: non-finite score"),
+        ],
+    )
+    def test_malformed_reference_exits_2(self, path3_file, tmp_path, capsys, text, message):
+        ref = tmp_path / "bad.csv"
+        ref.write_text(text)
+        rc = main(["mc", "--game", "g1", "--input", path3_file, "--iters", "10",
+                   "--seed", "1", "--reference", str(ref)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestGenCommand:
     def test_round_trip(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,22 @@ class TestShapleyVector:
     def test_read_scores_requires_dense_ids(self):
         with pytest.raises(ValueError, match="dense"):
             read_scores("0,1.0\n2,2.0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,1.0,3\n", "line 1: expected 2 fields, got 3"),
+            ("# header\n0,1.0\n1\n", "line 3: expected 2 fields, got 1"),
+            ("0,1.0\n1.5,2.0\n", "line 2: non-integer node id"),
+            ("0,1.0\n\n1,abc\n", "line 3: unparseable score"),
+            ("0,1.0\n1,nan\n", "line 2: non-finite score"),
+            ("0\tinf\n", "line 1: non-finite score"),
+            ("0,-inf\n", "line 1: non-finite score"),
+        ],
+    )
+    def test_read_scores_rejects_malformed_lines(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_scores(text)
 
 
 class TestGaussianIntervalProb:
@@ -166,7 +184,139 @@ class TestProximitySolver:
         assert sum(got) == pytest.approx(4.0)
 
 
+def _left_sum(values) -> float:
+    """Sum from 0.0, left to right: builtin sum() on floats before Python
+    3.12, which switched it to compensated summation."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def g5_reference(g: Graph, w_cutoff, limit: int) -> tuple[float, ...]:
+    """shapley_g5 with one Python loop per subset: combinations() of the
+    in-weights, each summed left to right; the Gaussian path as in
+    shapley_g5. An independent reference for the vectorised enumeration."""
+    wc = GameSpec.weighted_threshold(w_cutoff).w_cutoff_values(g)
+    n = g.node_count
+    in_adj = [g.in_neighbors(v) if g.directed else g.out_neighbors(v) for v in range(n)]
+    alpha = [sum(w for _, w in adj) for adj in in_adj]
+    beta = [sum(w * w for _, w in adj) for adj in in_adj]
+    deg = [len(adj) for adj in in_adj]
+
+    def cross_term(vi, vj, wij):
+        d = deg[vj]
+        lo, hi = wc[vj] - wij, wc[vj]
+        total = 0.0
+        if d <= limit:
+            others = [w for u, w in in_adj[vj] if u != vi]
+            for m in range(d):
+                factor = (d - m) / (d * (d + 1.0)) / math.comb(d - 1, m)
+                for subset in combinations(others, m):
+                    if lo <= _left_sum(subset) < hi:
+                        total += factor
+            return total
+        a = alpha[vj] - wij
+        spread = beta[vj] - wij * wij - a * a / (d - 1.0)
+        for m in range(d):
+            if m == 0:
+                mom = GaussianMoment(0.0, 0.0)
+            elif m == d - 1:
+                mom = GaussianMoment(a, 0.0)
+            else:
+                var = m * (d - 1.0 - m) / ((d - 1.0) * (d - 2.0)) * spread
+                mom = GaussianMoment(m / (d - 1.0) * a, max(0.0, var))
+            total += (d - m) / (d * (d + 1.0)) * gaussian_interval_prob(mom, lo, hi)
+        return total
+
+    def self_term(vi):
+        d = deg[vi]
+        if d == 0:
+            return 1.0
+        total = 0.0
+        if d <= limit:
+            weights = [w for _, w in in_adj[vi]]
+            for m in range(d + 1):
+                q = 1.0 / math.comb(d, m)
+                for subset in combinations(weights, m):
+                    if _left_sum(subset) < wc[vi]:
+                        total += q
+            return total / (1.0 + d)
+        spread = beta[vi] - alpha[vi] * alpha[vi] / d
+        for m in range(d + 1):
+            if m == 0:
+                mom = GaussianMoment(0.0, 0.0)
+            elif m == d:
+                mom = GaussianMoment(alpha[vi], 0.0)
+            else:
+                var = m * (d - m) / (d * (d - 1.0)) * spread
+                mom = GaussianMoment(m / d * alpha[vi], max(0.0, var))
+            total += gaussian_interval_prob(mom, -INF, wc[vi])
+        return total / (1.0 + d)
+
+    scores = []
+    for vi in range(n):
+        s = self_term(vi)
+        for vj, wij in g.out_neighbors(vi):
+            s += cross_term(vi, vj, wij)
+        scores.append(s)
+    return tuple(scores)
+
+
+# Weights and cutoffs per kind: multiples of 0.1 put subset sums exactly on
+# (or one rounding away from) the lo <= sum < hi boundaries.
+_G5_KINDS = {
+    "uniform": (st.floats(0.0, 1.0, exclude_min=True), st.floats(0.05, 3.0)),
+    "integer": (st.integers(1, 4).map(float), st.integers(1, 8).map(float)),
+    "tenth": (
+        st.integers(1, 10).map(lambda k: k * 0.1),
+        st.integers(1, 25).map(lambda k: k * 0.1),
+    ),
+}
+
+
+@st.composite
+def g5_cases(draw):
+    n = draw(st.integers(1, 12))
+    directed = draw(st.booleans())
+    weight, cut = _G5_KINDS[draw(st.sampled_from(sorted(_G5_KINDS)))]
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v, draw(weight)) for (u, v), k in zip(pairs, keep) if k]
+    g = Graph.build(n, edges, directed=directed, weighted=True)
+    if draw(st.booleans()):
+        w_cutoff = {v: draw(cut) for v in range(n)}
+    else:
+        w_cutoff = draw(cut)
+    return g, w_cutoff, draw(st.integers(2, 12))
+
+
+def _hub_graph(hub_degree: int, directed: bool) -> Graph:
+    """Hub 0 joined to every leaf (leaf -> hub when directed), leaves in a
+    path, U(0.05, 1) weights: no subset sum lands on a cutoff, where the
+    closed form's rounding can break efficiency."""
+    rng = random.Random(hub_degree)
+    edges = [(v, 0, rng.uniform(0.05, 1.0)) for v in range(1, hub_degree + 1)]
+    edges += [(v, v + 1, rng.uniform(0.05, 1.0)) for v in range(1, hub_degree)]
+    return Graph.build(hub_degree + 1, edges, directed=directed, weighted=True)
+
+
 class TestWeightedThresholdSolver:
+    @given(case=g5_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_enumeration_matches_per_subset_loops_bit_for_bit(self, case):
+        g, w_cutoff, limit = case
+        assert shapley_g5(g, w_cutoff, limit).scores == g5_reference(g, w_cutoff, limit)
+
+    @pytest.mark.parametrize("hub_degree, directed, w_cutoff", [(14, False, 2.5), (16, True, 3.0)])
+    def test_high_degree_node_one_row_at_a_time(self, hub_degree, directed, w_cutoff):
+        # hub_degree * 2**hub_degree exceeds the enumeration block, so the
+        # hub's cross terms are built one in-neighbor row at a time
+        g = _hub_graph(hub_degree, directed)
+        got = shapley_g5(g, w_cutoff, brute_force_degree_limit=16).scores
+        assert got == g5_reference(g, w_cutoff, 16)
+        assert sum(got) == pytest.approx(float(g.node_count), abs=1e-9)
+
     def test_two_clique_splits_evenly(self):
         g = Graph.build(2, [(0, 1, 0.6)], weighted=True)
         got = shapley_g5(g, 0.5).scores
