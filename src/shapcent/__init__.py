@@ -24,7 +24,6 @@ from .graph import (
     GraphError,
     distance_matrix,
     dump_edge_list,
-    extended_neighborhood,
     load_edge_list,
     settle,
     shortest_paths,
@@ -46,7 +45,6 @@ __all__ = [
     "characteristic_value",
     "distance_matrix",
     "dump_edge_list",
-    "extended_neighborhood",
     "gaussian_interval_prob",
     "gen_complete_weighted",
     "gen_gnp",

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .games import DecayFn, GameSpec, GameSpecError, cutoff_covers
+from .games import DecayFn, GameSpec, GameSpecError, cutoff_covers, one_hop_covers
 from .graph import Graph, settle
 
 INF = math.inf
@@ -98,25 +99,36 @@ def gaussian_interval_prob(m: GaussianMoment, lo: float, hi: float) -> float:
     return max(0.0, 0.5 * (b - a))
 
 
-def _inf_degrees(g: Graph) -> list[int]:
-    mode = "in" if g.directed else "undirected"
-    return [g.degree(v, mode) for v in range(g.node_count)]
+def _cover_counts(covers: Sequence[Sequence[int]]) -> list[int]:
+    """How many nodes cover each node."""
+    count = [0] * len(covers)
+    for cov in covers:
+        for u in cov:
+            count[u] += 1
+    return count
 
 
-def _sum_neighbors(g: Graph, v: int):
-    return g.out_neighbors(v)
+def _kernel(covers: Sequence[Sequence[int]], s, t) -> tuple[float, ...]:
+    """phi(v) = s(v) + sum of t(u) over the nodes u that v covers.
+
+    The one score loop of g1, g2 and g3. fsum is correctly rounded, so a
+    score does not depend on the order of the covers; that is why g2 at
+    k = 1 and g3 at unit cutoff give g1's scores bit for bit.
+    """
+    return tuple(math.fsum([s[v], *[t[u] for u in cov]]) for v, cov in enumerate(covers))
+
+
+def _coverage(covers: Sequence[Sequence[int]]) -> tuple[float, ...]:
+    """Shapley values of the game in which a coalition is worth the nodes
+    it holds or covers: s = t = 1 / (1 + number of nodes covering u)."""
+    inv = [1.0 / (1.0 + c) for c in _cover_counts(covers)]
+    return _kernel(covers, inv, inv)
 
 
 def shapley_g1(g: Graph) -> ShapleyVector:
-    """Exact Shapley values for the one-hop fringe game, O(V + E)."""
-    deg = _inf_degrees(g)
-    inv = [1.0 / (1.0 + d) for d in deg]
-    scores = []
-    for v in range(g.node_count):
-        # fsum keeps the result independent of adjacency order, so the
-        # g2(k=1) and g3(unit weights) reductions hold bit-for-bit
-        scores.append(math.fsum([inv[v]] + [inv[u] for u, _ in _sum_neighbors(g, v)]))
-    return ShapleyVector(tuple(scores), game="g1", method="exact")
+    """Exact Shapley values for the one-hop fringe game, O(V + E): the
+    coverage game of g3 over the one-hop covers."""
+    return ShapleyVector(_coverage(one_hop_covers(g)), game="g1", method="exact")
 
 
 def shapley_g2(g: Graph, k) -> ShapleyVector:
@@ -124,17 +136,15 @@ def shapley_g2(g: Graph, k) -> ShapleyVector:
 
     k is a uniform int or a per-node map with 1 <= k(v) <= 1 + deg(v).
     """
-    spec = GameSpec.threshold(k)
-    kv = spec.k_values(g)
-    deg = _inf_degrees(g)
-    scores = []
-    for v in range(g.node_count):
-        terms = [min(1.0, kv[v] / (1.0 + deg[v]))]
-        for u, _ in _sum_neighbors(g, v):
-            if deg[u] > 0:
-                terms.append(max(0.0, (deg[u] - kv[u] + 1.0) / (deg[u] * (1.0 + deg[u]))))
-        scores.append(math.fsum(terms))
-    return ShapleyVector(tuple(scores), game="g2", method="exact")
+    kv = GameSpec.threshold(k).k_values(g)
+    covers = one_hop_covers(g)
+    deg = _cover_counts(covers)
+    s = [min(1.0, kv[v] / (1.0 + d)) for v, d in enumerate(deg)]
+    # a covered node has degree >= 1, so t is never read where d = 0
+    t = [
+        max(0.0, (d - kv[u] + 1.0) / (d * (1.0 + d))) if d else 0.0 for u, d in enumerate(deg)
+    ]
+    return ShapleyVector(_kernel(covers, s, t), game="g2", method="exact")
 
 
 def shapley_g3(g: Graph, d_cutoff) -> ShapleyVector:
@@ -144,15 +154,8 @@ def shapley_g3(g: Graph, d_cutoff) -> ShapleyVector:
     the *covered* node decides membership. One Dijkstra search per node,
     bounded at the largest cutoff, finds the nodes it covers.
     """
-    spec = GameSpec.cutoff(d_cutoff)
-    covers = cutoff_covers(g, spec.d_cutoff_values(g))
-    ext_degree = [0] * g.node_count
-    for cov in covers:
-        for u in cov:
-            ext_degree[u] += 1
-    inv = [1.0 / (1.0 + e) for e in ext_degree]
-    scores = [math.fsum([inv[v]] + [inv[u] for u in cov]) for v, cov in enumerate(covers)]
-    return ShapleyVector(tuple(scores), game="g3", method="exact")
+    covers = cutoff_covers(g, GameSpec.cutoff(d_cutoff).d_cutoff_values(g))
+    return ShapleyVector(_coverage(covers), game="g3", method="exact")
 
 
 def shapley_g4(g: Graph, f: DecayFn) -> ShapleyVector:
@@ -198,22 +201,27 @@ def _subset_terms(w: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     w is (k, d): each node's in-weights in adjacency order; cut is their
     w_cutoff. Returns the self terms (k,) and the cross terms (k, d),
-    column i being the term that the i-th in-neighbor receives. Nodes go
-    in blocks of at most _ENUM_BLOCK (node, neighbor, subset) elements;
-    a node whose d * 2^d exceeds that goes one neighbor row at a time.
+    column i being the term that the i-th in-neighbor receives: the
+    subsets S without i for which S stays below the cutoff and S + {i}
+    does not, both sums read from the one subset-sum table, so the terms
+    add up to the node's whole value. Nodes go in blocks of at most
+    _ENUM_BLOCK (node, neighbor, subset) elements; a node whose d * 2^d
+    exceeds that goes one neighbor row at a time.
     """
     k, d = w.shape
     masks = np.arange(1 << d)
-    free = np.array([(masks >> i) & 1 == 0 for i in range(d)])  # bit i unset
-    pop = d - free.sum(axis=0)
+    bits = (1 << np.arange(d))[:, None]
+    pop = ((masks & bits) != 0).sum(axis=0)
     # subsets by ascending size; within a size every added factor is equal,
     # so the sequential sums below match a size-by-size accumulation
     order = np.argsort(pop, kind="stable")
-    free, pop = free[:, order], pop[order]
-    q = np.array([1.0 / math.comb(d, m) for m in range(d + 1)])[pop]
+    q = np.array([1.0 / math.comb(d, m) for m in range(d + 1)])[pop[order]]
+    # row i: the 2^(d-1) subsets that leave out neighbor i, by ascending
+    # size; the other half would add only 0.0, which changes no bits
+    without = np.array([order[order & bits[i] == 0] for i in range(d)])
     factor = np.array(
-        [(d - m) / (d * (d + 1.0)) / math.comb(d - 1, m) for m in range(d)] + [0.0]
-    )[pop]
+        [(d - m) / (d * (d + 1.0)) / math.comb(d - 1, m) for m in range(d)]
+    )[pop[without]]
     self_terms = np.empty(k)
     cross = np.empty((k, d))
     block = max(1, _ENUM_BLOCK // (d << d))
@@ -227,16 +235,14 @@ def _subset_terms(w: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarra
         sums = np.zeros((len(wb), 1))
         for j in range(d):
             sums = np.concatenate([sums, sums + wb[:, j : j + 1]], axis=1)
-        sums = sums[:, order]
-        hi = cut[nodes, None]
-        below = sums < hi
+        below = sums < cut[nodes, None]
         # cumsum adds left to right, unlike the pairwise np.sum
-        self_terms[nodes] = np.cumsum(np.where(below, q, 0.0), axis=1)[:, -1] / (1.0 + d)
-        lo = hi - wb
+        self_q = np.where(below[:, order], q, 0.0)
+        self_terms[nodes] = np.cumsum(self_q, axis=1)[:, -1] / (1.0 + d)
         for i in range(0, d, step):
             rows = slice(i, i + step)
-            ok = below[:, None, :] & (lo[:, rows, None] <= sums[:, None, :]) & free[rows]
-            cross[nodes, rows] = np.cumsum(np.where(ok, factor, 0.0), axis=-1)[..., -1]
+            ok = below[:, without[rows]] & ~below[:, without[rows] | bits[rows]]
+            cross[nodes, rows] = np.cumsum(np.where(ok, factor[rows], 0.0), axis=-1)[..., -1]
     return self_terms, cross
 
 
@@ -326,7 +332,7 @@ def shapley_g5(g: Graph, w_cutoff, brute_force_degree_limit: int = 12) -> Shaple
         weights = np.array([[w for _, w in in_adj[v]] for v in nodes])
         selfs[nodes], x = _subset_terms(weights, np.array([wc[v] for v in nodes]))
         cross_in[start[nodes][:, None] + np.arange(d)] = x
-    out_adj = [_sum_neighbors(g, v) for v in range(n)]
+    out_adj = [g.out_neighbors(v) for v in range(n)]
     cross = cross_in[_edge_slots(in_adj, out_adj)]
 
     scores = []

@@ -242,6 +242,14 @@ def _min_distances(
     return best
 
 
+def one_hop_covers(g: Graph) -> list[tuple[int, ...]]:
+    """For each node v, its out-neighbor ids: the nodes v covers in game
+    g1 and counts toward in game g2. The number of nodes that cover u is
+    u's in-degree (its degree on an undirected graph)."""
+    # zip(*adj) splits the (id, weight) pairs into an id and a weight tuple
+    return [next(zip(*adj), ()) for adj in g._out]
+
+
 def cutoff_covers(g: Graph, cut: Sequence[float]) -> list[list[int]]:
     """For each node v, the other nodes u with distance(v, u) <= cut[u].
 

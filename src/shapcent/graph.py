@@ -10,7 +10,15 @@ INF = math.inf
 
 
 class GraphError(ValueError):
-    """Malformed edge-list input or an invalid graph query."""
+    """Malformed edge-list input or an invalid graph query.
+
+    `edge` is the position, in input order, of the edge that
+    Graph.build rejected, or None when no single edge is at fault.
+    """
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -42,17 +50,17 @@ class Graph:
         seen: set[tuple[int, int]] = set()
         out: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
         inc: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
-        for u, v, w in edges:
+        for i, (u, v, w) in enumerate(edges):
             if not (0 <= u < node_count and 0 <= v < node_count):
-                raise GraphError(f"node id out of range in edge ({u}, {v})")
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
+                raise GraphError(f"node id out of range in edge ({u}, {v})", i)
             if not 0 < w < INF:
                 kind = "non-positive" if math.isfinite(w) else "non-finite"
-                raise GraphError(f"{kind} weight {w} on edge ({u}, {v})")
+                raise GraphError(f"{kind} weight {w} on edge ({u}, {v})", i)
+            if u == v:
+                raise GraphError(f"self-loop at node {u}", i)
             key = (u, v) if directed else (min(u, v), max(u, v))
             if key in seen:
-                raise GraphError(f"duplicate edge ({u}, {v})")
+                raise GraphError(f"duplicate edge ({u}, {v})", i)
             seen.add(key)
             w = float(w)
             edge_list.append((u, v, w))
@@ -104,13 +112,6 @@ class Graph:
             return len(self._in[v])
         raise GraphError(f"unknown degree mode {mode!r}")
 
-    def edge_weight(self, u: int, v: int) -> float:
-        """Weight of edge u->v, or 0.0 if absent."""
-        for nb, w in self.out_neighbors(u):
-            if nb == v:
-                return w
-        return 0.0
-
 
 @dataclass(frozen=True)
 class DistanceRow:
@@ -123,9 +124,6 @@ class DistanceRow:
     source: int
     entries: tuple[tuple[int, float], ...]
 
-    def as_dict(self) -> dict[int, float]:
-        return {node: dist for node, dist in self.entries}
-
 
 def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Graph:
     """Parse an edge-list text stream into a Graph.
@@ -133,6 +131,8 @@ def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Gr
     Lines are "u v" (unweighted) or "u v w" (weighted); '#' starts a
     comment line; an optional "nodes N" header declares trailing isolated
     nodes. Node ids must be dense: every id in [0, max] must occur.
+    Graph.build checks weights, self-loops and duplicates; its error is
+    reported at the line of the edge it rejects.
     """
     if isinstance(stream, str):
         lines = stream.splitlines()
@@ -140,8 +140,8 @@ def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Gr
         lines = stream
     declared_nodes: int | None = None
     edges: list[tuple[int, int, float]] = []
+    edge_lines: list[int] = []
     ids_seen: set[int] = set()
-    pair_seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -174,38 +174,33 @@ def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Gr
                 w = float(parts[2])
             except ValueError:
                 raise GraphError(f"line {lineno}: bad weight: {line!r}") from None
-            if not 0 < w < INF:
-                kind = "non-positive" if math.isfinite(w) else "non-finite"
-                raise GraphError(f"line {lineno}: {kind} weight: {line!r}")
-        if u == v:
-            raise GraphError(f"line {lineno}: self-loop: {line!r}")
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in pair_seen:
-            raise GraphError(f"line {lineno}: duplicate edge: {line!r}")
-        pair_seen.add(key)
         edges.append((u, v, w))
+        edge_lines.append(lineno)
         ids_seen.add(u)
         ids_seen.add(v)
 
     max_id = max(ids_seen) if ids_seen else -1
+    try:
+        # every id fits, so an edge error here is a bad weight, a
+        # self-loop or a duplicate, and it comes before the id checks
+        g = Graph.build(
+            max(max_id + 1, declared_nodes or 0), edges, directed=directed, weighted=weighted
+        )
+    except GraphError as exc:
+        raise GraphError(f"line {edge_lines[exc.edge]}: {exc}") from None
     if declared_nodes is not None:
         # the header declares the id space, so isolated ids are intentional
         if declared_nodes <= max_id:
             raise GraphError(
                 f"header declares {declared_nodes} nodes but edge ids reach {max_id}"
             )
-        node_count = declared_nodes
     else:
         missing = set(range(max_id + 1)) - ids_seen
         if missing:
             raise GraphError(
                 f"sparse node ids: ids {sorted(missing)[:5]} never appear in any edge"
             )
-        node_count = max_id + 1
-    try:
-        return Graph.build(node_count, edges, directed=directed, weighted=weighted)
-    except GraphError as exc:
-        raise GraphError(f"invalid edge list: {exc}") from None
+    return g
 
 
 def dump_edge_list(g: Graph) -> str:
@@ -274,21 +269,3 @@ def distance_matrix(g: Graph, orientation: str = "forward") -> list[list[float]]
         mat.append(row)
     return mat
 
-
-def extended_neighborhood(
-    g: Graph, v: int, d_cutoff: float
-) -> tuple[frozenset[int], int]:
-    """Nodes within d_cutoff of v, and the count of nodes that reach v
-    within d_cutoff; v itself is in neither.
-
-    Both come from searches bounded at d_cutoff. On undirected graphs
-    the two coincide; on directed graphs members follow forward
-    distances while the count uses reverse distances.
-    """
-    if not d_cutoff > 0:
-        raise GraphError(f"d_cutoff must be positive, got {d_cutoff}")
-    forward = settle(g, v, "forward", d_cutoff)
-    members = frozenset(node for _, node in forward[1:])
-    if not g.directed:
-        return members, len(members)
-    return members, len(settle(g, v, "reverse", d_cutoff)) - 1

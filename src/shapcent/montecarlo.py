@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exact import ShapleyVector
-from .games import GameSpec, cutoff_covers, grand_value
+from .games import GameSpec, cutoff_covers, grand_value, one_hop_covers
 from .graph import Graph, distance_matrix
 
 INF = math.inf
@@ -71,12 +71,13 @@ def _build_block(g: Graph, spec: GameSpec) -> Callable[[Sequence[int], list[floa
     n = g.node_count
     game = spec.game
 
-    if game == "g1":
-        nbrs = [[u for u, _ in g.out_neighbors(v)] for v in range(n)]
+    if game in ("g1", "g3"):
+        # g1 is the coverage game of g3 over the one-hop covers
+        covers = one_hop_covers(g) if game == "g1" else cutoff_covers(g, spec.d_cutoff_values(g))
         stamp = [0] * n
         epoch = [0]
 
-        def apply_g1(perm, sv):
+        def apply_coverage(perm, sv):
             epoch[0] += 1
             e = epoch[0]
             total = 0
@@ -85,7 +86,7 @@ def _build_block(g: Graph, spec: GameSpec) -> Callable[[Sequence[int], list[floa
                 if stamp[vi] != e:
                     stamp[vi] = e
                     c += 1
-                for u in nbrs[vi]:
+                for u in covers[vi]:
                     if stamp[u] != e:
                         stamp[u] = e
                         c += 1
@@ -93,11 +94,11 @@ def _build_block(g: Graph, spec: GameSpec) -> Callable[[Sequence[int], list[floa
                 total += c
             return float(total)
 
-        return apply_g1
+        return apply_coverage
 
     if game == "g2":
         k = spec.k_values(g)
-        nbrs = [[u for u, _ in g.out_neighbors(v)] for v in range(n)]
+        nbrs = one_hop_covers(g)
         stamp = [0] * n
         edge_stamp = [0] * n
         edges = [0] * n
@@ -125,30 +126,6 @@ def _build_block(g: Graph, spec: GameSpec) -> Callable[[Sequence[int], list[floa
             return float(total)
 
         return apply_g2
-
-    if game == "g3":
-        covers = cutoff_covers(g, spec.d_cutoff_values(g))
-        stamp = [0] * n
-        epoch = [0]
-
-        def apply_g3(perm, sv):
-            epoch[0] += 1
-            e = epoch[0]
-            total = 0
-            for vi in perm:
-                c = 0
-                if stamp[vi] != e:
-                    stamp[vi] = e
-                    c += 1
-                for u in covers[vi]:
-                    if stamp[u] != e:
-                        stamp[u] = e
-                        c += 1
-                sv[vi] += c
-                total += c
-            return float(total)
-
-        return apply_g3
 
     if game == "g4":
         f = spec.decay

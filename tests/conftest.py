@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from shapcent import Graph, gen_gnp
 from shapcent.games import GameSpec, characteristic_value
@@ -55,6 +56,18 @@ def random_small_graph(seed: int, n_max: int = 8, weighted: bool = True,
     if directed is None:
         directed = bool(rng.integers(0, 2))
     return gen_gnp(n, p, seed=seed + 10_000, weighted=weighted, directed=directed)
+
+
+@st.composite
+def unit_graphs(draw):
+    """Small directed or undirected graphs with unit weights, edges in a
+    drawn order, so adjacency order differs from node-id order."""
+    n = draw(st.integers(1, 12))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v, 1.0) for (u, v), k in zip(pairs, keep) if k]
+    return Graph.build(n, draw(st.permutations(edges)), directed=directed)
 
 
 @pytest.fixture

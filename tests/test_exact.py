@@ -26,7 +26,7 @@ from shapcent.exact import read_scores
 from shapcent.games import DecayFn, GameSpec, GameSpecError
 from shapcent.oracle import brute_force_shapley
 
-from .conftest import random_small_graph
+from .conftest import random_small_graph, unit_graphs
 
 INF = math.inf
 
@@ -158,6 +158,15 @@ class TestCutoffSolver:
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
 
 
+class TestCoverageReductions:
+    @given(g=unit_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_g1_is_g2_at_k1_and_g3_at_unit_cutoff(self, g):
+        g1 = shapley_g1(g).scores
+        assert shapley_g2(g, 1).scores == g1
+        assert shapley_g3(g, 1.0).scores == g1
+
+
 class TestProximitySolver:
     def test_two_clique(self):
         g = Graph.build(2, [(0, 1, 1.0)])
@@ -195,8 +204,10 @@ def _left_sum(values) -> float:
 
 def g5_reference(g: Graph, w_cutoff, limit: int) -> tuple[float, ...]:
     """shapley_g5 with one Python loop per subset: combinations() of the
-    in-weights, each summed left to right; the Gaussian path as in
-    shapley_g5. An independent reference for the vectorised enumeration."""
+    in-weights, each summed left to right in adjacency order; neighbor i's
+    cross term counts a subset S without i when S is below the cutoff and
+    S + {i} is not; the Gaussian path as in shapley_g5. An independent
+    reference for the vectorised enumeration."""
     wc = GameSpec.weighted_threshold(w_cutoff).w_cutoff_values(g)
     n = g.node_count
     in_adj = [g.in_neighbors(v) if g.directed else g.out_neighbors(v) for v in range(n)]
@@ -209,11 +220,15 @@ def g5_reference(g: Graph, w_cutoff, limit: int) -> tuple[float, ...]:
         lo, hi = wc[vj] - wij, wc[vj]
         total = 0.0
         if d <= limit:
-            others = [w for u, w in in_adj[vj] if u != vi]
+            weights = [w for _, w in in_adj[vj]]
+            i = [u for u, _ in in_adj[vj]].index(vi)
+            others = [j for j in range(d) if j != i]
             for m in range(d):
                 factor = (d - m) / (d * (d + 1.0)) / math.comb(d - 1, m)
                 for subset in combinations(others, m):
-                    if lo <= _left_sum(subset) < hi:
+                    joined = sorted(subset + (i,))
+                    below = _left_sum(weights[j] for j in subset) < hi
+                    if below and not _left_sum(weights[j] for j in joined) < hi:
                         total += factor
             return total
         a = alpha[vj] - wij
@@ -293,8 +308,7 @@ def g5_cases(draw):
 
 def _hub_graph(hub_degree: int, directed: bool) -> Graph:
     """Hub 0 joined to every leaf (leaf -> hub when directed), leaves in a
-    path, U(0.05, 1) weights: no subset sum lands on a cutoff, where the
-    closed form's rounding can break efficiency."""
+    path, U(0.05, 1) weights."""
     rng = random.Random(hub_degree)
     edges = [(v, 0, rng.uniform(0.05, 1.0)) for v in range(1, hub_degree + 1)]
     edges += [(v, v + 1, rng.uniform(0.05, 1.0)) for v in range(1, hub_degree)]
@@ -316,6 +330,19 @@ class TestWeightedThresholdSolver:
         got = shapley_g5(g, w_cutoff, brute_force_degree_limit=16).scores
         assert got == g5_reference(g, w_cutoff, 16)
         assert sum(got) == pytest.approx(float(g.node_count), abs=1e-9)
+
+    def test_tenth_weights_on_the_cutoff_stay_efficient(self):
+        # leaves 1..8 -> hub 0 and a leaf path, 0.1-multiple weights: subset
+        # sums land on the cutoff 2.0, where testing S >= 2.0 - w_i instead
+        # of the table's own S + {i} gave a sum of 8.996
+        hub_w = [k * 0.1 for k in (3, 1, 4, 1, 5, 9, 2, 6)]
+        edges = [(v, 0, w) for v, w in enumerate(hub_w, start=1)]
+        edges += [(v, v + 1, 0.3) for v in range(1, 8)]
+        g = Graph.build(9, edges, directed=True, weighted=True)
+        got = shapley_g5(g, 2.0).scores
+        assert abs(sum(got) - 9.0) <= 1e-12
+        want = brute_force_shapley(g, GameSpec.weighted_threshold(2.0)).scores
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9
 
     def test_two_clique_splits_evenly(self):
         g = Graph.build(2, [(0, 1, 0.6)], weighted=True)

@@ -11,7 +11,6 @@ from shapcent import (
     GraphError,
     distance_matrix,
     dump_edge_list,
-    extended_neighborhood,
     load_edge_list,
     settle,
     shortest_paths,
@@ -54,8 +53,21 @@ class TestBuild:
     def test_reversed_pair_allowed_when_directed(self):
         g = Graph.build(3, [(0, 1, 1.0), (1, 0, 2.0)], directed=True)
         assert g.edge_count == 2
-        assert g.edge_weight(0, 1) == 1.0
-        assert g.edge_weight(1, 0) == 2.0
+        assert dict(g.out_neighbors(0))[1] == 1.0
+        assert dict(g.out_neighbors(1))[0] == 2.0
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((2, 2, 1.0), "self-loop"),
+            ((1, 0, 1.0), "duplicate edge"),
+            ((1, 2, 0.0), "non-positive"),  # the weight is tested before duplicates
+        ],
+    )
+    def test_error_names_edge_position(self, bad, message):
+        with pytest.raises(GraphError, match=message) as info:
+            Graph.build(3, [(0, 1, 1.0), (1, 2, 1.0), bad])
+        assert info.value.edge == 2
 
     def test_empty_graph(self):
         g = Graph.build(0, [])
@@ -87,7 +99,7 @@ class TestQueries:
         assert path3.out_neighbors(0) == path3.in_neighbors(0)
 
     def test_edge_weight_absent_is_zero(self, path3):
-        assert path3.edge_weight(0, 2) == 0.0
+        assert 2 not in dict(path3.out_neighbors(0))
 
     def test_invalid_node_query(self, path3):
         with pytest.raises(GraphError, match="invalid node id"):
@@ -102,7 +114,7 @@ class TestEdgeListIO:
 
     def test_weighted_parse(self):
         g = load_edge_list("0 1 0.5\n1 2 2.5\n", weighted=True)
-        assert g.edge_weight(1, 2) == 2.5
+        assert dict(g.out_neighbors(1))[2] == 2.5
 
     def test_header_declares_trailing_isolated_nodes(self):
         g = load_edge_list("nodes 5\n0 1\n")
@@ -151,6 +163,10 @@ class TestEdgeListIO:
         with pytest.raises(GraphError, match="line 1: self-loop"):
             load_edge_list("2 2\n")
 
+    def test_edge_error_line_skips_comments_and_header(self):
+        with pytest.raises(GraphError, match="line 6: duplicate edge"):
+            load_edge_list("# c\nnodes 4\n0 1\n\n1 2\n2 1\n")
+
     def test_malformed_header(self):
         with pytest.raises(GraphError, match="malformed header"):
             load_edge_list("nodes five\n")
@@ -178,11 +194,11 @@ class TestShortestPaths:
     def test_entries_sorted_and_exclude_source(self, path3):
         row = shortest_paths(path3, 0)
         assert row.entries == ((1, 1.0), (2, 2.0))
-        assert row.as_dict() == {1: 1.0, 2: 2.0}
+        assert dict(row.entries) == {1: 1.0, 2: 2.0}
 
     def test_unreachable_is_infinite(self):
         g = Graph.build(3, [(0, 1, 1.0)])
-        assert shortest_paths(g, 0).as_dict()[2] == INF
+        assert dict(shortest_paths(g, 0).entries)[2] == INF
 
     def test_tie_breaks_on_node_id(self, star4):
         row = shortest_paths(star4, 0)
@@ -190,8 +206,8 @@ class TestShortestPaths:
 
     def test_reverse_orientation_directed(self):
         g = Graph.build(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=True)
-        assert shortest_paths(g, 2, "reverse").as_dict() == {0: 2.0, 1: 1.0}
-        assert shortest_paths(g, 2, "forward").as_dict() == {0: INF, 1: INF}
+        assert dict(shortest_paths(g, 2, "reverse").entries) == {0: 2.0, 1: 1.0}
+        assert dict(shortest_paths(g, 2, "forward").entries) == {0: INF, 1: INF}
 
     def test_unknown_orientation(self, path3):
         with pytest.raises(GraphError, match="unknown orientation"):
@@ -220,7 +236,7 @@ class TestShortestPaths:
         g = Graph.build(
             3, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0)], weighted=True
         )
-        assert shortest_paths(g, 0).as_dict()[1] == 2.0
+        assert dict(shortest_paths(g, 0).entries)[1] == 2.0
 
 
 @st.composite
@@ -268,24 +284,6 @@ class TestSettle:
         assert dists == sorted(dists)
         if all(w.is_integer() for _, _, w in g.edges):
             assert row == sorted(row)  # ties in ascending node id
-
-
-class TestExtendedNeighborhood:
-    def test_undirected_members_equal_count(self, path3):
-        members, ext = extended_neighborhood(path3, 0, 1.0)
-        assert members == frozenset({1}) and ext == 1
-        members, ext = extended_neighborhood(path3, 0, 2.0)
-        assert members == frozenset({1, 2}) and ext == 2
-
-    def test_directed_count_uses_reverse_reach(self):
-        g = Graph.build(3, [(0, 1, 1.0), (2, 1, 1.0)], directed=True)
-        members, ext = extended_neighborhood(g, 1, 1.0)
-        assert members == frozenset()  # nothing reachable from 1
-        assert ext == 2  # both 0 and 2 reach 1
-
-    def test_cutoff_must_be_positive(self, path3):
-        with pytest.raises(GraphError, match="positive"):
-            extended_neighborhood(path3, 0, 0.0)
 
 
 class TestGnpGenerator:

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapcent import max_relative_error, mc_shapley, solve
 from shapcent.bench import gen_complete_weighted, gen_gnp
 from shapcent.games import DecayFn, GameSpec, characteristic_value, grand_value
 from shapcent.montecarlo import ConvergenceTrace, permutation_contributions
 
-from .conftest import random_small_graph
+from .conftest import random_small_graph, unit_graphs
 
 
 def _specs_for(g):
@@ -47,6 +49,15 @@ class TestIncrementalBlocks:
         for spec in _specs_for(g):
             # check_sums asserts every iteration total equals nu(V)
             mc_shapley(g, spec, max_iter=20, seed=seed, check_sums=True)
+
+
+    @given(g=unit_graphs(), seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_g1_block_is_g3_block_at_unit_cutoff(self, g, seed):
+        perm = np.random.default_rng(seed).permutation(g.node_count).tolist()
+        assert permutation_contributions(g, GameSpec.fringe(), perm) == (
+            permutation_contributions(g, GameSpec.cutoff(1.0), perm)
+        )
 
 
 class TestMcShapley:
