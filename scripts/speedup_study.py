@@ -28,7 +28,7 @@ def main() -> int:
     args = ap.parse_args()
 
     g = gen_gnp(args.n, args.avg_degree / (args.n - 1), seed=args.seed)
-    deg = [g.degree(v) for v in range(args.n)]
+    deg = [len(g.in_neighbors(v)) for v in range(args.n)]
     thresholds = [float(t) for t in args.thresholds.split(",") if t]
     scenarios = [
         ("fringe", GameSpec.fringe()),

@@ -19,14 +19,12 @@ from .exact import (
 )
 from .games import DecayFn, GameSpec, characteristic_value, grand_value, load_node_params
 from .graph import (
-    DistanceRow,
     Graph,
     GraphError,
     distance_matrix,
     dump_edge_list,
     load_edge_list,
     settle,
-    shortest_paths,
 )
 from .montecarlo import ConvergenceTrace, max_relative_error, mc_shapley
 from .oracle import brute_force_shapley
@@ -35,7 +33,6 @@ __all__ = [
     "BenchReport",
     "ConvergenceTrace",
     "DecayFn",
-    "DistanceRow",
     "GameSpec",
     "GaussianMoment",
     "Graph",
@@ -60,6 +57,5 @@ __all__ = [
     "shapley_g3",
     "shapley_g4",
     "shapley_g5",
-    "shortest_paths",
     "solve",
 ]

@@ -1,9 +1,11 @@
 """Closed-form Shapley solvers for games g1-g4 and the Gaussian
 approximation for g5.
 
-All solvers are pure functions of immutable inputs. On directed graphs
-"degree" means in-degree and the summation neighborhood is the set of
-out-neighbors (influence flows along the edge direction).
+All solvers are pure functions of immutable inputs. "Degree" means
+in-degree, the summation neighborhood is the set of out-neighbors
+(influence flows along the edge direction), and distance to a node is
+measured along the edges. An undirected graph is its symmetric directed
+twin, so the same rules cover it without a case of their own.
 """
 from __future__ import annotations
 
@@ -136,9 +138,9 @@ def shapley_g2(g: Graph, k) -> ShapleyVector:
 
     k is a uniform int or a per-node map with 1 <= k(v) <= 1 + deg(v).
     """
-    kv = GameSpec.threshold(k).k_values(g)
     covers = one_hop_covers(g)
     deg = _cover_counts(covers)
+    kv = GameSpec.threshold(k)._k_for_degrees(deg)
     s = [min(1.0, kv[v] / (1.0 + d)) for v, d in enumerate(deg)]
     # a covered node has degree >= 1, so t is never read where d = 0
     t = [
@@ -162,18 +164,16 @@ def shapley_g4(g: Graph, f: DecayFn) -> ShapleyVector:
     """Exact Shapley values for the decay-weighted proximity game.
 
     Each node's pass takes the other nodes in ascending distance *to* it
-    (reverse orientation on directed graphs) and accumulates expected
-    marginal contributions with a backward cumulative sum; equal-distance
-    nodes share one value. Unreachable nodes are skipped: f(inf) = 0, so
-    they add nothing.
+    (the reverse search) and accumulates expected marginal contributions
+    with a backward cumulative sum; equal-distance nodes share one value.
+    Unreachable nodes are skipped: f(inf) = 0, so they add nothing.
     """
     if not isinstance(f, DecayFn):
         f = DecayFn.custom(f)
     n = g.node_count
     scores = [0.0] * n
-    orientation = "reverse" if g.directed else "forward"
     for target in range(n):
-        row = settle(g, target, orientation)  # row[0] is the target itself
+        row = settle(g, target, "reverse")  # row[0] is the target itself
         acc = 0.0
         prev_d: float | None = None
         prev_sv = 0.0
@@ -260,6 +260,28 @@ def _edge_slots(in_adj, out_adj) -> np.ndarray:
     return slot
 
 
+def _gaussian_sum(a: float, b: float, lo: float, hi: float, factors: Sequence[float]) -> float:
+    """Sum over m = 0..N of factors[m] * P{S_m in [lo, hi)}, N = len(factors) - 1.
+
+    S_m is the sum of a uniform m-subset of a pool of N weights with sum
+    a and sum of squares b, taken as Gaussian with the subset-sum moments;
+    S_0 = 0 and S_N = a are exact.
+    """
+    n = len(factors) - 1
+    spread = b - a * a / n
+    total = 0.0
+    for m, factor in enumerate(factors):
+        if m == 0:
+            mom = GaussianMoment(0.0, 0.0)
+        elif m == n:
+            mom = GaussianMoment(a, 0.0)
+        else:
+            var = m * (n - m) / (n * (n - 1.0)) * spread
+            mom = GaussianMoment(m / n * a, max(0.0, var))
+        total += factor * gaussian_interval_prob(mom, lo, hi)
+    return total
+
+
 def shapley_g5(g: Graph, w_cutoff, brute_force_degree_limit: int = 12) -> ShapleyVector:
     """Approximate Shapley values for the weighted-threshold game.
 
@@ -280,47 +302,21 @@ def shapley_g5(g: Graph, w_cutoff, brute_force_degree_limit: int = 12) -> Shaple
     wc = spec.w_cutoff_values(g)
     n = g.node_count
     # influence arrives along in-edges; the summation set is out-neighbors
-    in_adj = [g.in_neighbors(v) if g.directed else g.out_neighbors(v) for v in range(n)]
+    in_adj = [g.in_neighbors(v) for v in range(n)]
     alpha = [sum(w for _, w in adj) for adj in in_adj]
     beta = [sum(w * w for _, w in adj) for adj in in_adj]
     deg = [len(adj) for adj in in_adj]
 
-    def cross_term(vi: int, vj: int, wij: float) -> float:
+    def cross_term(vj: int, wij: float) -> float:
+        # the pool is vj's other d - 1 in-weights
         d = deg[vj]
-        lo = wc[vj] - wij
-        hi = wc[vj]
-        a = alpha[vj] - wij
-        b = beta[vj] - wij * wij
-        spread = b - a * a / (d - 1.0)
-        total = 0.0
-        for m in range(d):
-            pr = (d - m) / (d * (d + 1.0))
-            if m == 0:
-                mom = GaussianMoment(0.0, 0.0)
-            elif m == d - 1:
-                mom = GaussianMoment(a, 0.0)
-            else:
-                mu = m / (d - 1.0) * a
-                var = m * (d - 1.0 - m) / ((d - 1.0) * (d - 2.0)) * spread
-                mom = GaussianMoment(mu, max(0.0, var))
-            total += pr * gaussian_interval_prob(mom, lo, hi)
-        return total
+        factors = [(d - m) / (d * (d + 1.0)) for m in range(d)]
+        a, b = alpha[vj] - wij, beta[vj] - wij * wij
+        return _gaussian_sum(a, b, wc[vj] - wij, wc[vj], factors)
 
     def self_term(vi: int) -> float:
         d = deg[vi]
-        spread = beta[vi] - alpha[vi] * alpha[vi] / d
-        total = 0.0
-        for m in range(d + 1):
-            if m == 0:
-                mom = GaussianMoment(0.0, 0.0)
-            elif m == d:
-                mom = GaussianMoment(alpha[vi], 0.0)
-            else:
-                mu = m / d * alpha[vi]
-                var = m * (d - m) / (d * (d - 1.0)) * spread
-                mom = GaussianMoment(mu, max(0.0, var))
-            total += gaussian_interval_prob(mom, -INF, wc[vi])
-        return total / (1.0 + d)
+        return _gaussian_sum(alpha[vi], beta[vi], -INF, wc[vi], [1.0] * (d + 1)) / (1.0 + d)
 
     limit = brute_force_degree_limit
     selfs = np.array([self_term(v) if deg[v] > limit else 1.0 for v in range(n)])
@@ -340,7 +336,7 @@ def shapley_g5(g: Graph, w_cutoff, brute_force_degree_limit: int = 12) -> Shaple
     for vi in range(n):
         s = selfs[vi]
         for vj, wij in out_adj[vi]:
-            s += cross[e] if deg[vj] <= limit else cross_term(vi, vj, wij)
+            s += cross[e] if deg[vj] <= limit else cross_term(vj, wij)
             e += 1
         scores.append(float(s))
     return ShapleyVector(tuple(scores), game="g5", method="gaussian_approx")

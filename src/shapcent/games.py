@@ -148,17 +148,21 @@ class GameSpec:
         return GameSpec("g5", w_cutoff=w_cutoff)
 
     def k_values(self, g: Graph) -> list[int]:
-        """Per-node k, range-checked against 1 <= k(v) <= 1 + deg(v)."""
-        vals = _broadcast(self.k, g.node_count, "k")
+        """Per-node k, range-checked against 1 <= k(v) <= 1 + deg(v),
+        deg(v) being the in-degree."""
+        return self._k_for_degrees([len(adj) for adj in g._in])
+
+    def _k_for_degrees(self, deg: Sequence[int]) -> list[int]:
+        """Per-node k, range-checked against the given in-degrees."""
+        vals = _broadcast(self.k, len(deg), "k")
         for v, kv in enumerate(vals):
             if type(kv) is not int:
                 if kv % 1 != 0:  # also catches nan and inf
                     raise GameSpecError(f"k({v}) = {kv} is not a whole number")
                 kv = int(kv)
-            deg = g.degree(v, "in" if g.directed else "undirected")
-            if not 1 <= kv <= 1 + deg:
+            if not 1 <= kv <= 1 + deg[v]:
                 raise GameSpecError(
-                    f"k({v}) = {kv} outside [1, {1 + deg}] for degree {deg}"
+                    f"k({v}) = {kv} outside [1, {1 + deg[v]}] for degree {deg[v]}"
                 )
             vals[v] = kv
         return vals
@@ -188,6 +192,9 @@ def _broadcast(param, n: int, name: str) -> list:
         if v not in param:
             raise GameSpecError(f"parameter map {name} missing node {v}")
         vals.append(param[v])
+    if len(param) > n:
+        unknown = [key for key in param if key not in range(n)]
+        raise GameSpecError(f"parameter map {name} names node {unknown[0]!r} outside [0, {n})")
     return vals
 
 
@@ -245,7 +252,7 @@ def _min_distances(
 def one_hop_covers(g: Graph) -> list[tuple[int, ...]]:
     """For each node v, its out-neighbor ids: the nodes v covers in game
     g1 and counts toward in game g2. The number of nodes that cover u is
-    u's in-degree (its degree on an undirected graph)."""
+    u's in-degree, which on an undirected graph is its degree."""
     # zip(*adj) splits the (id, weight) pairs into an id and a weight tuple
     return [next(zip(*adj), ()) for adj in g._out]
 

@@ -44,12 +44,19 @@ class Graph:
         directed: bool = False,
         weighted: bool = False,
     ) -> "Graph":
+        """Check the edges and list each node's out- and in-arcs in edge order.
+
+        An undirected edge is the arc pair u->v, v->u, so an undirected
+        graph is its symmetric directed twin. Its in- and out-listings
+        agree entry for entry and are one shared adjacency:
+        in_neighbors(v) is out_neighbors(v).
+        """
         if node_count < 0:
             raise GraphError(f"negative node count: {node_count}")
         edge_list: list[tuple[int, int, float]] = []
         seen: set[tuple[int, int]] = set()
         out: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
-        inc: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
+        inc: list[list[tuple[int, float]]] = [[] for _ in range(node_count)] if directed else out
         for i, (u, v, w) in enumerate(edges):
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise GraphError(f"node id out of range in edge ({u}, {v})", i)
@@ -66,16 +73,14 @@ class Graph:
             edge_list.append((u, v, w))
             out[u].append((v, w))
             inc[v].append((u, w))
-            if not directed:
-                out[v].append((u, w))
-                inc[u].append((v, w))
+        adj_out = tuple(tuple(a) for a in out)
         return Graph(
             node_count=node_count,
             directed=directed,
             weighted=weighted,
             edges=tuple(edge_list),
-            _out=tuple(tuple(a) for a in out),
-            _in=tuple(tuple(a) for a in inc),
+            _out=adj_out,
+            _in=tuple(tuple(a) for a in inc) if directed else adj_out,
         )
 
     @property
@@ -93,36 +98,6 @@ class Graph:
     def in_neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
         self._check_node(v)
         return self._in[v]
-
-    def neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
-        """Adjacency of an undirected graph (same as out_neighbors)."""
-        if self.directed:
-            raise GraphError("neighbors() requires an undirected graph; use out/in")
-        return self.out_neighbors(v)
-
-    def degree(self, v: int, mode: str = "undirected") -> int:
-        self._check_node(v)
-        if mode == "undirected":
-            if self.directed:
-                raise GraphError("mode='undirected' requires an undirected graph")
-            return len(self._out[v])
-        if mode == "out":
-            return len(self._out[v])
-        if mode == "in":
-            return len(self._in[v])
-        raise GraphError(f"unknown degree mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class DistanceRow:
-    """Single-source shortest-path distances, sorted ascending.
-
-    Entries cover every node except the source; unreachable nodes carry
-    +infinity. Ties break on ascending node id.
-    """
-
-    source: int
-    entries: tuple[tuple[int, float], ...]
 
 
 def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Graph:
@@ -247,16 +222,6 @@ def settle(
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return settled
-
-
-def shortest_paths(g: Graph, source: int, orientation: str = "forward") -> DistanceRow:
-    """Single-source distances from (forward) or to (reverse) source."""
-    # sorting restores DistanceRow's tie rule where settle() cannot keep it
-    row = sorted(settle(g, source, orientation))
-    reached = {node for _, node in row}
-    entries = [(node, d) for d, node in row[1:]]
-    entries.extend((node, INF) for node in range(g.node_count) if node not in reached)
-    return DistanceRow(source=source, entries=tuple(entries))
 
 
 def distance_matrix(g: Graph, orientation: str = "forward") -> list[list[float]]:

@@ -209,6 +209,8 @@ def mc_shapley(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if error_stride < 1:
+        raise ValueError(f"error_stride must be >= 1, got {error_stride}")
     n = g.node_count
     if reference is not None and len(reference) != n:
         raise ValueError("reference length does not match graph size")

@@ -70,6 +70,25 @@ def unit_graphs(draw):
     return Graph.build(n, draw(st.permutations(edges)), directed=directed)
 
 
+@st.composite
+def undirected_twins(draw, n_max: int = 12):
+    """A small weighted undirected graph, edges in a drawn order and each
+    written either way round, and its symmetric directed twin: arcs
+    (u, v, w) and (v, u, w) per edge, in edge order. Integer weights
+    force distance ties."""
+    n = draw(st.integers(1, n_max))
+    weight = draw(st.sampled_from([st.integers(1, 3).map(float),
+                                   st.floats(0.0, 1.0, exclude_min=True)]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(v, u, draw(weight)) if draw(st.booleans()) else (u, v, draw(weight))
+             for (u, v), k in zip(pairs, keep) if k]
+    edges = draw(st.permutations(edges))
+    arcs = [arc for u, v, w in edges for arc in ((u, v, w), (v, u, w))]
+    return (Graph.build(n, edges, weighted=True),
+            Graph.build(n, arcs, directed=True, weighted=True))
+
+
 @pytest.fixture
 def path3() -> Graph:
     return Graph.build(3, [(0, 1, 1.0), (1, 2, 1.0)])

@@ -43,6 +43,16 @@ class TestExactCommand:
         assert rc == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
 
+    @pytest.mark.parametrize("line", ["99,1", "-4,2"])
+    def test_parameter_file_unknown_node_exit_2(self, path3_file, tmp_path, capsys, line):
+        kfile = tmp_path / "k.csv"
+        kfile.write_text(f"0,1\n1,2\n2,1\n{line}\n")
+        rc = main(
+            ["exact", "--game", "g2", "--input", path3_file, "--k-file", str(kfile)]
+        )
+        assert rc == 2
+        assert "outside [0, 3)" in capsys.readouterr().err
+
     def test_missing_game_parameter_is_data_error(self, path3_file, capsys):
         assert main(["exact", "--game", "g2", "--input", path3_file]) == 2
         assert "requires --k" in capsys.readouterr().err
@@ -136,6 +146,15 @@ class TestMcCommand:
         lines = trace.read_text().splitlines()
         assert lines[0] == "iteration,elapsed_ms,max_rel_error"
         assert len(lines) == 11  # 50 iterations / stride 5
+
+    def test_zero_error_stride_exits_2(self, path3_file, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        assert main(["exact", "--game", "g1", "--input", path3_file,
+                     "--output", str(ref)]) == 0
+        rc = main(["mc", "--game", "g1", "--input", path3_file, "--iters", "10",
+                   "--seed", "1", "--reference", str(ref), "--error-stride", "0"])
+        assert rc == 2
+        assert "error_stride must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, message",

@@ -24,9 +24,10 @@ from shapcent import (
 from shapcent.bench import gen_complete_weighted, gen_gnp
 from shapcent.exact import read_scores
 from shapcent.games import DecayFn, GameSpec, GameSpecError
+from shapcent.montecarlo import permutation_contributions
 from shapcent.oracle import brute_force_shapley
 
-from .conftest import random_small_graph, unit_graphs
+from .conftest import random_small_graph, undirected_twins, unit_graphs
 
 INF = math.inf
 
@@ -210,7 +211,7 @@ def g5_reference(g: Graph, w_cutoff, limit: int) -> tuple[float, ...]:
     reference for the vectorised enumeration."""
     wc = GameSpec.weighted_threshold(w_cutoff).w_cutoff_values(g)
     n = g.node_count
-    in_adj = [g.in_neighbors(v) if g.directed else g.out_neighbors(v) for v in range(n)]
+    in_adj = [g.in_neighbors(v) for v in range(n)]
     alpha = [sum(w for _, w in adj) for adj in in_adj]
     beta = [sum(w * w for _, w in adj) for adj in in_adj]
     deg = [len(adj) for adj in in_adj]
@@ -420,3 +421,44 @@ class TestSolveDispatch:
             times.append(time.perf_counter() - t0)
         # doubling |V| at constant average degree should stay near-linear
         assert times[1] / times[0] < 8.0
+
+
+def _twin_specs(g: Graph) -> list[GameSpec]:
+    k = {v: 1 + len(g.in_neighbors(v)) // 2 for v in range(g.node_count)}
+    return [
+        GameSpec.fringe(),
+        GameSpec.threshold(k),
+        GameSpec.cutoff(1.5),
+        GameSpec.proximity(DecayFn.exponential()),
+        GameSpec.weighted_threshold(1.2),
+    ]
+
+
+class TestUndirectedIsSymmetricDirectedTwin:
+    """An undirected graph scores like its symmetric directed twin, bit
+    for bit, in every solver."""
+
+    @given(pair=undirected_twins())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_solvers(self, pair):
+        g, twin = pair
+        for spec in _twin_specs(g):
+            for limit in (2, 12):
+                assert solve(g, spec, limit).scores == solve(twin, spec, limit).scores
+
+    @given(pair=undirected_twins(), seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_contributions(self, pair, seed):
+        g, twin = pair
+        perm = random.Random(seed).sample(range(g.node_count), g.node_count)
+        for spec in _twin_specs(g):
+            assert permutation_contributions(g, spec, perm) == (
+                permutation_contributions(twin, spec, perm)
+            )
+
+    @given(pair=undirected_twins(n_max=7))
+    @settings(max_examples=15, deadline=None)
+    def test_brute_force_oracle(self, pair):
+        g, twin = pair
+        for spec in _twin_specs(g):
+            assert brute_force_shapley(g, spec).scores == brute_force_shapley(twin, spec).scores

@@ -100,6 +100,16 @@ class TestGameSpec:
         with pytest.raises(GameSpecError, match="missing node 2"):
             GameSpec.cutoff({0: 1.0, 1: 1.0}).d_cutoff_values(path3)
 
+    @pytest.mark.parametrize("extra", [3, 99, -4])
+    def test_map_unknown_node(self, path3, extra):
+        full = {0: 1, 1: 1, 2: 1, extra: 1}
+        with pytest.raises(GameSpecError, match=f"names node {extra} outside"):
+            GameSpec.threshold(full).k_values(path3)
+        with pytest.raises(GameSpecError, match=f"map d_cutoff names node {extra}"):
+            GameSpec.cutoff(full).d_cutoff_values(path3)
+        with pytest.raises(GameSpecError, match=f"map w_cutoff names node {extra}"):
+            GameSpec.weighted_threshold(full).w_cutoff_values(path3)
+
     def test_cutoffs_must_be_positive(self, path3):
         with pytest.raises(GameSpecError):
             GameSpec.cutoff(0.0).d_cutoff_values(path3)

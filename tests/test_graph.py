@@ -13,7 +13,6 @@ from shapcent import (
     dump_edge_list,
     load_edge_list,
     settle,
-    shortest_paths,
 )
 from shapcent.bench import gen_gnp
 
@@ -75,28 +74,19 @@ class TestBuild:
 
     def test_isolated_nodes_allowed(self):
         g = Graph.build(5, [(0, 1, 1.0)])
-        assert g.degree(4) == 0
+        assert len(g.in_neighbors(4)) == 0
 
 
 class TestQueries:
-    def test_degree_modes_directed(self):
+    def test_in_and_out_degree_directed(self):
         g = Graph.build(3, [(0, 1, 1.0), (2, 1, 1.0)], directed=True)
-        assert g.degree(1, "in") == 2
-        assert g.degree(1, "out") == 0
-        assert g.degree(0, "out") == 1
-        with pytest.raises(GraphError, match="undirected"):
-            g.degree(1, "undirected")
-        with pytest.raises(GraphError, match="unknown degree mode"):
-            g.degree(1, "total")
-
-    def test_neighbors_requires_undirected(self):
-        g = Graph.build(2, [(0, 1, 1.0)], directed=True)
-        with pytest.raises(GraphError):
-            g.neighbors(0)
+        assert len(g.in_neighbors(1)) == 2
+        assert len(g.out_neighbors(1)) == 0
+        assert len(g.out_neighbors(0)) == 1
 
     def test_undirected_adjacency_symmetric(self, path3):
-        assert dict(path3.neighbors(1)) == {0: 1.0, 2: 1.0}
-        assert path3.out_neighbors(0) == path3.in_neighbors(0)
+        assert dict(path3.out_neighbors(1)) == {0: 1.0, 2: 1.0}
+        assert all(path3.in_neighbors(v) is path3.out_neighbors(v) for v in range(3))
 
     def test_edge_weight_absent_is_zero(self, path3):
         assert 2 not in dict(path3.out_neighbors(0))
@@ -119,12 +109,12 @@ class TestEdgeListIO:
     def test_header_declares_trailing_isolated_nodes(self):
         g = load_edge_list("nodes 5\n0 1\n")
         assert g.node_count == 5
-        assert g.degree(4) == 0
+        assert len(g.in_neighbors(4)) == 0
 
     def test_header_permits_interior_isolated_nodes(self):
         g = load_edge_list("nodes 4\n0 2\n2 3\n")
         assert g.node_count == 4
-        assert g.degree(1) == 0
+        assert len(g.in_neighbors(1)) == 0
 
     def test_header_below_max_id_rejected(self):
         with pytest.raises(GraphError, match="declares 2 nodes"):
@@ -191,27 +181,23 @@ class TestEdgeListIO:
 
 
 class TestShortestPaths:
-    def test_entries_sorted_and_exclude_source(self, path3):
-        row = shortest_paths(path3, 0)
-        assert row.entries == ((1, 1.0), (2, 2.0))
-        assert dict(row.entries) == {1: 1.0, 2: 2.0}
-
     def test_unreachable_is_infinite(self):
         g = Graph.build(3, [(0, 1, 1.0)])
-        assert dict(shortest_paths(g, 0).entries)[2] == INF
+        assert distance_matrix(g)[0][2] == INF
+        assert [node for _, node in settle(g, 0)] == [0, 1]
 
     def test_tie_breaks_on_node_id(self, star4):
-        row = shortest_paths(star4, 0)
-        assert [node for node, _ in row.entries] == [1, 2, 3]
+        row = settle(star4, 0)
+        assert [node for _, node in row] == [0, 1, 2, 3]
 
     def test_reverse_orientation_directed(self):
         g = Graph.build(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=True)
-        assert dict(shortest_paths(g, 2, "reverse").entries) == {0: 2.0, 1: 1.0}
-        assert dict(shortest_paths(g, 2, "forward").entries) == {0: INF, 1: INF}
+        assert settle(g, 2, "reverse") == [(0.0, 2), (1.0, 1), (2.0, 0)]
+        assert settle(g, 2, "forward") == [(0.0, 2)]
 
     def test_unknown_orientation(self, path3):
         with pytest.raises(GraphError, match="unknown orientation"):
-            shortest_paths(path3, 0, "sideways")
+            settle(path3, 0, "sideways")
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_exhaustive_relaxation(self, seed):
@@ -236,7 +222,7 @@ class TestShortestPaths:
         g = Graph.build(
             3, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0)], weighted=True
         )
-        assert dict(shortest_paths(g, 0).entries)[1] == 2.0
+        assert distance_matrix(g)[0][1] == 2.0
 
 
 @st.composite

@@ -118,6 +118,9 @@ class TestMcShapley:
     def test_bad_arguments(self, path3):
         with pytest.raises(ValueError, match="max_iter"):
             mc_shapley(path3, GameSpec.fringe(), max_iter=0, seed=1)
+        for stride in (0, -1):
+            with pytest.raises(ValueError, match="error_stride must be >= 1"):
+                mc_shapley(path3, GameSpec.fringe(), max_iter=10, seed=1, error_stride=stride)
         wrong_ref = solve(gen_gnp(5, 0.5, seed=1), GameSpec.fringe())
         with pytest.raises(ValueError, match="reference length"):
             mc_shapley(path3, GameSpec.fringe(), max_iter=10, seed=1, reference=wrong_ref)
