@@ -15,6 +15,8 @@ from .montecarlo import ConvergenceTrace, mc_shapley
 
 # 95% normal-approximation interval, matching the shaded-band convention
 _Z95 = 1.959963984540054
+# every comparison run traces its error once per this many permutations
+ERROR_STRIDE = 5
 
 
 def gen_complete_weighted(n: int, seed: int) -> Graph:
@@ -114,7 +116,8 @@ class BenchReport:
 def _one_mc_run(args):
     g, spec, max_iter, seed, reference, stop_error = args
     _, trace = mc_shapley(
-        g, spec, max_iter=max_iter, seed=seed, reference=reference, stop_error=stop_error
+        g, spec, max_iter=max_iter, seed=seed, reference=reference,
+        error_stride=ERROR_STRIDE, stop_error=stop_error,
     )
     return trace
 
@@ -138,8 +141,16 @@ def run_comparison(
     thresholds = sorted(set(float(t) for t in thresholds), reverse=True)
     if not thresholds:
         raise ValueError("empty threshold list")
+    for t in thresholds:
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"thresholds must be positive and finite, got {t}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if max_iter < ERROR_STRIDE:
+        raise ValueError(
+            f"max_iter {max_iter} is below the error stride {ERROR_STRIDE},"
+            " so no run would trace its error"
+        )
 
     t0 = time.perf_counter()
     reference = solve(g, spec)

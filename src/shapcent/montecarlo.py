@@ -1,17 +1,22 @@
-"""Permutation-sampling baseline with per-game incremental blocks.
+"""Permutation-sampling baseline over batches of permutations.
 
-Each iteration shuffles all nodes and walks the permutation once,
-adding every node's marginal contribution with an O(1)-amortized
-incremental update instead of re-evaluating the characteristic
-function. Distance-dependent state for g3/g4 is precomputed once; the
+Each iteration draws one uniform permutation of the nodes, and a block
+evaluates a batch of them at once in numpy. In g1, g2, g3 and g5 every
+node u is worth one unit to a coalition that holds or completes it, so
+per permutation u's unit goes to one winner: u itself if it arrives
+first, otherwise the arrival that completes it. The block finds all
+winners from the arrival positions and counts them with bincount. g4
+takes a running minimum over the distance rows in arrival order.
+Distance-dependent state for g3/g4 is precomputed once; the
 precomputation time is reported separately from the sampling clock.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -20,6 +25,12 @@ from .games import GameSpec, cutoff_covers, grand_value, one_hop_covers
 from .graph import Graph, distance_matrix
 
 INF = math.inf
+
+# Element budget of one batch: permutations times the entries that each
+# needs in the block's widest array, as exact._ENUM_BLOCK bounds a g5 block.
+_BATCH_BLOCK = 1 << 15
+
+Block = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -46,149 +57,163 @@ class ConvergenceTrace:
 
 
 def max_relative_error(reference, estimate) -> float:
-    """Max over nodes of |estimate - reference| / reference."""
+    """Max over nodes of |estimate - reference| / reference.
+
+    Takes ShapleyVectors, sequences or arrays. A reference score must be
+    positive and finite and an estimate finite: a NaN would otherwise
+    drop out of the maximum and read as no error at all.
+    """
     ref = reference.scores if isinstance(reference, ShapleyVector) else reference
     est = estimate.scores if isinstance(estimate, ShapleyVector) else estimate
+    ref, est = np.asarray(ref, dtype=float), np.asarray(est, dtype=float)
     if len(ref) != len(est):
         raise ValueError(f"length mismatch: {len(ref)} vs {len(est)}")
-    worst = 0.0
-    for r, e in zip(ref, est):
-        if not r > 0:
-            raise ValueError(f"nonpositive reference score {r}")
-        err = abs(e - r) / r
-        if err > worst:
-            worst = err
-    return worst
+    bad = ~(ref > 0)
+    if bad.any():
+        raise ValueError(f"nonpositive reference score {ref[bad][0]}")
+    for name, arr in (("reference score", ref), ("estimate", est)):
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            raise ValueError(f"non-finite {name} {arr[bad][0]}")
+    return float(np.max(np.abs(est - ref) / ref, initial=0.0))
 
 
-def _build_block(g: Graph, spec: GameSpec) -> Callable[[Sequence[int], list[float]], float]:
-    """Per-game marginal-contribution block.
+def _in_groups(g: Graph, nodes: Iterable[int]):
+    """The given nodes of in-degree d >= 1, one group per d: the nodes, and
+    their in-neighbor ids and in-weights as (nodes, d) arrays."""
+    by_degree: dict[int, list[int]] = {}
+    for v in nodes:
+        if g._in[v]:
+            by_degree.setdefault(len(g._in[v]), []).append(v)
+    for d, nodes in sorted(by_degree.items()):
+        ids = np.array([[u for u, _ in g._in[v]] for v in nodes], dtype=np.int64)
+        yield np.array(nodes), ids, np.array([[w for _, w in g._in[v]] for v in nodes])
 
-    The returned callable applies one permutation, adds each node's
-    marginal contribution into the accumulator, and returns the
-    iteration's total (which telescopes to nu(V)).
+
+def _build_block(g: Graph, spec: GameSpec) -> tuple[Block, int]:
+    """Per-game marginal-contribution block and its largest batch.
+
+    The block maps a (B, n) array of permutations to their (B, n)
+    marginal contributions by node; each row adds up to nu(V). In the
+    counting games a winner position per node is found for the whole
+    batch at once, so no Python loop runs over a permutation.
     """
     n = g.node_count
     game = spec.game
 
-    if game in ("g1", "g3"):
-        # g1 is the coverage game of g3 over the one-hop covers
-        covers = one_hop_covers(g) if game == "g1" else cutoff_covers(g, spec.d_cutoff_values(g))
-        stamp = [0] * n
-        epoch = [0]
-
-        def apply_coverage(perm, sv):
-            epoch[0] += 1
-            e = epoch[0]
-            total = 0
-            for vi in perm:
-                c = 0
-                if stamp[vi] != e:
-                    stamp[vi] = e
-                    c += 1
-                for u in covers[vi]:
-                    if stamp[u] != e:
-                        stamp[u] = e
-                        c += 1
-                sv[vi] += c
-                total += c
-            return float(total)
-
-        return apply_coverage
-
-    if game == "g2":
-        k = spec.k_values(g)
-        nbrs = one_hop_covers(g)
-        stamp = [0] * n
-        edge_stamp = [0] * n
-        edges = [0] * n
-        epoch = [0]
-
-        def apply_g2(perm, sv):
-            epoch[0] += 1
-            e = epoch[0]
-            total = 0
-            for vi in perm:
-                c = 0
-                if stamp[vi] != e:
-                    stamp[vi] = e
-                    c += 1
-                for u in nbrs[vi]:
-                    if edge_stamp[u] != e:
-                        edge_stamp[u] = e
-                        edges[u] = 0
-                    edges[u] += 1
-                    if stamp[u] != e and edges[u] >= k[u]:
-                        stamp[u] = e
-                        c += 1
-                sv[vi] += c
-                total += c
-            return float(total)
-
-        return apply_g2
-
     if game == "g4":
-        f = spec.decay
-        dmat = distance_matrix(g, "forward")
-        fmat = [[f(d) for d in row] for row in dmat]
+        return _proximity_block(g, spec), 1
 
-        def apply_g4(perm, sv):
-            dist = [INF] * n
-            fdist = [0.0] * n
-            total = 0.0
-            for vi in perm:
-                drow = dmat[vi]
-                frow = fmat[vi]
-                c = 0.0
-                for u in range(n):
-                    duv = drow[u]
-                    if duv < dist[u]:
-                        c += frow[u] - fdist[u]
-                        dist[u] = duv
-                        fdist[u] = frow[u]
-                sv[vi] += c
-                total += c
-            return total
+    if game in ("g1", "g3"):
+        # u's unit goes to the earliest arrival among u and the nodes covering it
+        covers = one_hop_covers(g) if game == "g1" else cutoff_covers(g, spec.d_cutoff_values(g))
+        owner = np.repeat(np.arange(n), [len(c) for c in covers])
+        covered = np.fromiter(itertools.chain.from_iterable(covers), np.int64, len(owner))
+        order = np.argsort(np.concatenate([np.arange(n), covered]), kind="stable")
+        ids = np.concatenate([np.arange(n), owner])[order]
+        count = np.bincount(covered, minlength=n) + 1
+        starts = np.cumsum(count) - count
 
-        return apply_g4
+        def winners(pos):
+            return np.minimum.reduceat(np.take(pos, ids, axis=1), starts, axis=1)
 
-    # g5
-    wc = spec.w_cutoff_values(g)
-    adj = [list(g.out_neighbors(v)) for v in range(n)]
-    stamp = [0] * n
-    w_stamp = [0] * n
-    wsum = [0.0] * n
-    epoch = [0]
+        width = len(ids)
 
-    def apply_g5(perm, sv):
-        epoch[0] += 1
-        e = epoch[0]
-        total = 0
-        for vi in perm:
-            c = 0
-            if stamp[vi] != e:
-                stamp[vi] = e
-                c += 1
-            for u, w in adj[vi]:
-                if w_stamp[u] != e:
-                    w_stamp[u] = e
-                    wsum[u] = 0.0
-                wsum[u] += w
-                if stamp[u] != e and wsum[u] >= wc[u]:
-                    stamp[u] = e
-                    c += 1
-            sv[vi] += c
-            total += c
-        return float(total)
+    elif game == "g2":
+        # u's unit goes to its k(u)-th arriving in-neighbor unless u comes
+        # first; a node with k(u) = 1 + deg(u) always keeps it
+        k = spec.k_values(g)
+        # kth: the flat index of each node's k-th entry in its sorted row
+        groups = [
+            (nodes, nbrs, np.array([i * nbrs.shape[1] + k[v] - 1 for i, v in enumerate(nodes)]))
+            for nodes, nbrs, _ in _in_groups(g, [v for v in range(n) if k[v] <= len(g._in[v])])
+        ]
+        width = n + sum(nbrs.size for _, nbrs, _ in groups)
 
-    return apply_g5
+        def winners(pos):
+            win = pos.copy()
+            for nodes, nbrs, kth in groups:
+                arrivals = np.sort(np.take(pos, nbrs, axis=1), axis=-1).reshape(len(pos), -1)
+                win[:, nodes] = np.minimum(pos[:, nodes], np.take(arrivals, kth, axis=1))
+            return win
+
+    else:
+        # g5: to the in-neighbor whose arrival lifts u's in-weight, summed in
+        # arrival order from 0.0, to w_cutoff(u), unless u comes first
+        wc = spec.w_cutoff_values(g)
+        groups = [
+            (nodes, nbrs, w, np.array([wc[v] for v in nodes])[:, None])
+            for nodes, nbrs, w in _in_groups(g, range(n))
+        ]
+        width = n + sum(nbrs.size for _, nbrs, *_ in groups)
+
+        def winners(pos):
+            win = pos.copy()
+            for nodes, nbrs, w, cut in groups:
+                d = nbrs.shape[1]
+                # keys position * d + column sort a node's in-arcs by arrival
+                # and keep each arc's column, which finds its weight
+                key = np.sort(np.take(pos, nbrs, axis=1) * d + np.arange(d), axis=-1)
+                weights = np.take(w, key % d + np.arange(0, w.size, d)[:, None])
+                # cumsum restarts at each node and adds left to right
+                hit = np.cumsum(weights, axis=-1) >= cut
+                first = hit.argmax(axis=-1) + np.arange(0, key.size, d).reshape(hit.shape[:-1])
+                at = np.where(hit[..., -1], np.take(key, first) // d, n)
+                win[:, nodes] = np.minimum(pos[:, nodes], at)
+            return win
+
+    def block(perms):
+        b, n = perms.shape
+        pos = np.empty_like(perms)  # pos[i, v]: where v arrives in permutation i
+        pos[np.arange(b)[:, None], perms] = np.arange(n)
+        rows = np.arange(0, b * n, n)[:, None]
+        # the offsets make permutation i's winners count in row i
+        won_by = np.take(perms, winners(pos) + rows) + rows
+        return np.bincount(won_by.ravel(), minlength=b * n).reshape(b, n).astype(float)
+
+    return block, max(1, _BATCH_BLOCK // max(1, width))
+
+
+def _proximity_block(g: Graph, spec: GameSpec) -> Block:
+    """g4, one permutation at a time: each arrival earns f(new) - f(old)
+    for every node it brings closer, summed left to right over the nodes.
+    The distance rows go in chunks of at most _BATCH_BLOCK entries."""
+    n = g.node_count
+    table = distance_matrix(g, "forward")
+    dmat = np.array(table, dtype=float).reshape(n, n)
+    fmat = np.fromiter(map(spec.decay, itertools.chain.from_iterable(table)), float, n * n)
+    fmat = fmat.reshape(n, n)
+    step = max(1, _BATCH_BLOCK // max(1, n))
+    cols = np.arange(n)
+
+    def block(perms):
+        (perm,) = perms
+        dist, fdist = np.full(n, INF), np.zeros(n)
+        gain = np.empty(n)
+        for s in range(0, n, step):
+            arrivals = perm[s : s + step]
+            d, f = dmat[arrivals], fmat[arrivals]
+            before = np.vstack([dist, np.minimum(np.minimum.accumulate(d, axis=0), dist)])
+            closer = d < before[:-1]
+            # row of the last arrival that brought each node closer (0: none yet)
+            last = np.maximum.accumulate(
+                np.where(closer, np.arange(1, len(arrivals) + 1)[:, None], 0), axis=0
+            )
+            f_now = np.vstack([fdist, f])[last, cols]
+            f_old = np.vstack([fdist, f_now[:-1]])
+            gain[s : s + step] = np.cumsum(np.where(closer, f - f_old, 0.0), axis=1)[:, -1]
+            dist, fdist = before[-1], f_now[-1]
+        out = np.empty((1, n))
+        out[0, perm] = gain
+        return out
+
+    return block
 
 
 def permutation_contributions(g: Graph, spec: GameSpec, perm: Sequence[int]) -> list[float]:
-    """Marginal contributions of one permutation via the incremental block."""
-    sv = [0.0] * g.node_count
-    _build_block(g, spec)(list(perm), sv)
-    return sv
+    """Marginal contributions of one permutation: a batch of one."""
+    block, _ = _build_block(g, spec)
+    return block(np.array(perm, dtype=np.int64).reshape(1, g.node_count))[0].tolist()
 
 
 def mc_shapley(
@@ -205,7 +230,9 @@ def mc_shapley(
 
     Emits a trace row every error_stride iterations when a reference is
     given; stop_error ends the run early once the traced error falls to
-    or below it. Identical seeds give bit-identical results.
+    or below it. Permutations go in batches that never cross a multiple
+    of error_stride, so rows fall where a one-at-a-time run puts them.
+    Identical seeds give bit-identical results.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -216,30 +243,32 @@ def mc_shapley(
         raise ValueError("reference length does not match graph size")
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    block = _build_block(g, spec)
+    block, batch = _build_block(g, spec)
     precompute_s = time.perf_counter() - t0
     nu_grand = grand_value(g, spec) if check_sums else None
+    ref = np.array(reference.scores) if reference is not None else None
 
-    acc = [0.0] * n
+    acc = np.zeros(n)
     rows: list[tuple[int, float, float]] = []
     done = 0
     start = time.perf_counter()
-    for it in range(1, max_iter + 1):
-        perm = rng.permutation(n).tolist()
-        total = block(perm, acc)
-        done = it
-        if check_sums and abs(total - nu_grand) > 1e-9 * max(1.0, abs(nu_grand)):
-            raise AssertionError(
-                f"iteration sum {total} != grand value {nu_grand}"
-            )
-        if reference is not None and it % error_stride == 0:
-            est = [s / it for s in acc]
-            err = max_relative_error(reference, est)
-            rows.append((it, time.perf_counter() - start, err))
+    while done < max_iter:
+        size = min(batch, max_iter - done, error_stride - done % error_stride)
+        perms = np.array([rng.permutation(n) for _ in range(size)])
+        contrib = block(perms)
+        if check_sums:
+            for total in contrib.sum(axis=1).tolist():
+                if abs(total - nu_grand) > 1e-9 * max(1.0, abs(nu_grand)):
+                    raise AssertionError(f"iteration sum {total} != grand value {nu_grand}")
+        acc += contrib.sum(axis=0)
+        done += size
+        if ref is not None and done % error_stride == 0:
+            err = max_relative_error(ref, acc / done)
+            rows.append((done, time.perf_counter() - start, err))
             if stop_error is not None and err <= stop_error:
                 break
 
-    scores = tuple(s / done for s in acc)
+    scores = tuple((acc / done).tolist())
     trace = ConvergenceTrace(
         rows=tuple(rows),
         error_stride=error_stride,

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from shapcent import gen_complete_weighted, gen_gnp, run_comparison, solve
+from shapcent.bench import ERROR_STRIDE
 from shapcent.games import GameSpec
 
 
@@ -72,6 +75,21 @@ class TestRunComparison:
             run_comparison(g, spec, thresholds=[], runs=1, max_iter=10, base_seed=1)
         with pytest.raises(ValueError, match="runs"):
             run_comparison(g, spec, thresholds=[0.1], runs=0, max_iter=10, base_seed=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.1])
+    def test_bad_thresholds_rejected(self, small_setup, bad):
+        g, spec = small_setup
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_comparison(g, spec, thresholds=[0.1, bad], runs=1, max_iter=10, base_seed=1)
+
+    def test_iterations_below_error_stride_rejected(self, small_setup):
+        g, spec = small_setup
+        with pytest.raises(ValueError, match=f"below the error stride {ERROR_STRIDE}"):
+            run_comparison(g, spec, thresholds=[0.1], runs=1, max_iter=ERROR_STRIDE - 1,
+                           base_seed=1)
+        report, _ = run_comparison(g, spec, thresholds=[1e-9], runs=1,
+                                   max_iter=ERROR_STRIDE, base_seed=1)
+        assert report.results[0].mean_iterations == ERROR_STRIDE
 
     def test_csv_and_table_render(self, small_setup):
         g, spec = small_setup

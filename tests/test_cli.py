@@ -214,3 +214,23 @@ class TestBenchCommand:
         assert (out_dir / "trace_000.csv").exists()
         assert (out_dir / "trace_001.csv").exists()
         assert "speedup" in capsys.readouterr().out
+
+    @pytest.fixture
+    def graph20(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        assert main(["gen", "gnp", "-n", "20", "-p", "0.3", "--seed", "2",
+                     "--output", str(graph)]) == 0
+        return str(graph)
+
+    def test_iterations_below_error_stride_exit_2(self, graph20, capsys):
+        rc = main(["bench", "--game", "g1", "--input", graph20, "--thresholds", "0.25",
+                   "--runs", "1", "--iters", "3", "--seed", "1"])
+        assert rc == 2
+        assert "below the error stride 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("thresholds", ["nan", "0.1,inf", "0", "-0.2"])
+    def test_bad_thresholds_exit_2(self, graph20, capsys, thresholds):
+        rc = main(["bench", "--game", "g1", "--input", graph20, "--thresholds", thresholds,
+                   "--runs", "1", "--iters", "100", "--seed", "1"])
+        assert rc == 2
+        assert "positive and finite" in capsys.readouterr().err

@@ -1,16 +1,171 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapcent import max_relative_error, mc_shapley, solve
+from shapcent import Graph, max_relative_error, mc_shapley, montecarlo, solve
 from shapcent.bench import gen_complete_weighted, gen_gnp
-from shapcent.games import DecayFn, GameSpec, characteristic_value, grand_value
+from shapcent.games import (
+    DecayFn,
+    GameSpec,
+    characteristic_value,
+    cutoff_covers,
+    grand_value,
+    one_hop_covers,
+)
+from shapcent.graph import distance_matrix
 from shapcent.montecarlo import ConvergenceTrace, permutation_contributions
 
 from .conftest import random_small_graph, unit_graphs
+
+INF = math.inf
+
+
+def reference_block(g: Graph, spec: GameSpec):
+    """The sampler's per-game blocks as they were before batching, kept as
+    an independent reference. The returned callable walks one permutation
+    in pure Python, adds each node's marginal contribution into the
+    accumulator, and returns the iteration's total."""
+    n = g.node_count
+    game = spec.game
+
+    if game in ("g1", "g3"):
+        # g1 is the coverage game of g3 over the one-hop covers
+        covers = one_hop_covers(g) if game == "g1" else cutoff_covers(g, spec.d_cutoff_values(g))
+        stamp = [0] * n
+        epoch = [0]
+
+        def apply_coverage(perm, sv):
+            epoch[0] += 1
+            e = epoch[0]
+            total = 0
+            for vi in perm:
+                c = 0
+                if stamp[vi] != e:
+                    stamp[vi] = e
+                    c += 1
+                for u in covers[vi]:
+                    if stamp[u] != e:
+                        stamp[u] = e
+                        c += 1
+                sv[vi] += c
+                total += c
+            return float(total)
+
+        return apply_coverage
+
+    if game == "g2":
+        k = spec.k_values(g)
+        nbrs = one_hop_covers(g)
+        stamp = [0] * n
+        edge_stamp = [0] * n
+        edges = [0] * n
+        epoch = [0]
+
+        def apply_g2(perm, sv):
+            epoch[0] += 1
+            e = epoch[0]
+            total = 0
+            for vi in perm:
+                c = 0
+                if stamp[vi] != e:
+                    stamp[vi] = e
+                    c += 1
+                for u in nbrs[vi]:
+                    if edge_stamp[u] != e:
+                        edge_stamp[u] = e
+                        edges[u] = 0
+                    edges[u] += 1
+                    if stamp[u] != e and edges[u] >= k[u]:
+                        stamp[u] = e
+                        c += 1
+                sv[vi] += c
+                total += c
+            return float(total)
+
+        return apply_g2
+
+    if game == "g4":
+        f = spec.decay
+        dmat = distance_matrix(g, "forward")
+        fmat = [[f(d) for d in row] for row in dmat]
+
+        def apply_g4(perm, sv):
+            dist = [INF] * n
+            fdist = [0.0] * n
+            total = 0.0
+            for vi in perm:
+                drow = dmat[vi]
+                frow = fmat[vi]
+                c = 0.0
+                for u in range(n):
+                    duv = drow[u]
+                    if duv < dist[u]:
+                        c += frow[u] - fdist[u]
+                        dist[u] = duv
+                        fdist[u] = frow[u]
+                sv[vi] += c
+                total += c
+            return total
+
+        return apply_g4
+
+    # g5
+    wc = spec.w_cutoff_values(g)
+    adj = [list(g.out_neighbors(v)) for v in range(n)]
+    stamp = [0] * n
+    w_stamp = [0] * n
+    wsum = [0.0] * n
+    epoch = [0]
+
+    def apply_g5(perm, sv):
+        epoch[0] += 1
+        e = epoch[0]
+        total = 0
+        for vi in perm:
+            c = 0
+            if stamp[vi] != e:
+                stamp[vi] = e
+                c += 1
+            for u, w in adj[vi]:
+                if w_stamp[u] != e:
+                    w_stamp[u] = e
+                    wsum[u] = 0.0
+                wsum[u] += w
+                if stamp[u] != e and wsum[u] >= wc[u]:
+                    stamp[u] = e
+                    c += 1
+            sv[vi] += c
+            total += c
+        return float(total)
+
+    return apply_g5
+
+def reference_mc(g, spec, max_iter, seed, reference=None, error_stride=5, stop_error=None):
+    """mc_shapley before batching: one permutation at a time through
+    reference_block, the same rows and stopping rule. Returns the scores
+    and the trace rows without their elapsed times."""
+    n = g.node_count
+    rng = np.random.default_rng(seed)
+    block = reference_block(g, spec)
+    acc = [0.0] * n
+    rows = []
+    done = 0
+    for it in range(1, max_iter + 1):
+        block(rng.permutation(n).tolist(), acc)
+        done = it
+        if reference is not None and it % error_stride == 0:
+            err = 0.0
+            for r, e in zip(reference.scores, [s / it for s in acc]):
+                err = max(err, abs(e - r) / r)
+            rows.append((it, err))
+            if stop_error is not None and err <= stop_error:
+                break
+    return tuple(s / done for s in acc), rows
 
 
 def _specs_for(g):
@@ -21,6 +176,90 @@ def _specs_for(g):
         GameSpec.proximity(DecayFn.inv_linear()),
         GameSpec.weighted_threshold(0.7),
     ]
+
+
+def tenth_hubs(directed: bool) -> tuple[Graph, dict[int, float]]:
+    """Hubs 0-2 reached from leaves 3-10 by arcs of weight 0.1, and a
+    w_cutoff map of sums of 0.1 added one at a time from 0.0. So a hub's
+    running in-weight lands exactly on its cutoff, as does a leaf's once
+    all three hubs arrive on the undirected graph."""
+    edges = [(leaf, hub, 0.1) for hub in range(3) for leaf in range(3, 11)]
+    tenths = [0.0]
+    for _ in range(8):
+        tenths.append(tenths[-1] + 0.1)
+    cut = {v: tenths[3 + v] if v < 3 else tenths[3] for v in range(11)}
+    return Graph.build(11, edges, directed=directed, weighted=True), cut
+
+
+def _parity_specs(g: Graph) -> list[GameSpec]:
+    deg = [len(g.in_neighbors(v)) for v in range(g.node_count)]
+    return [
+        GameSpec.fringe(),
+        # every k from 1 to 1 + deg, the last never reached by neighbors
+        GameSpec.threshold({v: 1 + v % (d + 1) for v, d in enumerate(deg)}),
+        GameSpec.cutoff(2.0 if not g.weighted else 0.8),
+        GameSpec.proximity(DecayFn.step(1.0) if not g.weighted else DecayFn.inv_linear()),
+        GameSpec.weighted_threshold(1.5 if not g.weighted else 0.7),
+    ]
+
+
+def assert_matches_reference(g, spec, seed, stride, stop, max_iter=120):
+    """mc_shapley's scores and trace rows, elapsed apart, equal those of
+    reference_mc: bit for bit for g1, g2, g3 and g5, within 1e-12 for g4."""
+    reference = solve(g, spec)
+    got, trace = mc_shapley(g, spec, max_iter=max_iter, seed=seed, reference=reference,
+                            error_stride=stride, stop_error=stop, check_sums=True)
+    want, rows = reference_mc(g, spec, max_iter, seed, reference, stride, stop)
+    got_rows = [(it, err) for it, _, err in trace.rows]
+    if spec.game == "g4":
+        assert [it for it, _ in got_rows] == [it for it, _ in rows]
+        assert [err for _, err in got_rows] == pytest.approx([err for _, err in rows], abs=1e-12)
+        assert got.scores == pytest.approx(want, abs=1e-12)
+    else:
+        assert got_rows == rows
+        assert got.scores == want
+
+
+STRIDES = (1, 3, 5, 100)
+
+
+class TestBatchedSamplerParity:
+    """The batched sampler against the one-permutation-at-a-time blocks."""
+
+    @given(g=unit_graphs(), seed=st.integers(0, 1000), game=st.integers(0, 4),
+           stride=st.sampled_from(STRIDES), stop=st.sampled_from([None, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_unit_graphs(self, g, seed, game, stride, stop):
+        assert_matches_reference(g, _parity_specs(g)[game], seed, stride, stop)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("stride", STRIDES)
+    def test_weighted_graphs(self, directed, stride):
+        g = gen_gnp(40, 0.12, seed=31 + stride, weighted=True, directed=directed)
+        for spec in _parity_specs(g):
+            for stop in (None, 0.3):
+                assert_matches_reference(g, spec, 7 * stride, stride, stop)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("stride", STRIDES)
+    def test_g5_sums_landing_on_the_cutoff(self, directed, stride):
+        g, cut = tenth_hubs(directed)
+        for stop in (None, 0.2):
+            assert_matches_reference(g, GameSpec.weighted_threshold(cut), stride, stride, stop,
+                                     max_iter=300)
+
+    @pytest.mark.parametrize("budget", [1, 20, 200])
+    def test_element_budget_splits_batches(self, budget):
+        # a small budget splits batches below the stride and g4's rows
+        # into chunks of a few arrivals
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_BATCH_BLOCK", budget)
+            for directed in (False, True):
+                g = gen_gnp(12, 0.3, seed=budget, weighted=True, directed=directed)
+                for spec in _parity_specs(g):
+                    assert_matches_reference(g, spec, budget, 5, None, max_iter=40)
+            g, cut = tenth_hubs(False)
+            assert_matches_reference(g, GameSpec.weighted_threshold(cut), budget, 5, None)
 
 
 class TestIncrementalBlocks:
@@ -171,3 +410,20 @@ class TestMaxRelativeError:
     def test_nonpositive_reference(self):
         with pytest.raises(ValueError, match="nonpositive"):
             max_relative_error((0.0, 1.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_estimate(self, bad):
+        # a NaN must not drop out of the maximum and read as no error
+        for estimate in ((bad, 2.0), np.array([1.0, bad])):
+            with pytest.raises(ValueError, match="non-finite estimate"):
+                max_relative_error((1.0, 2.0), estimate)
+
+    def test_non_finite_reference(self):
+        with pytest.raises(ValueError, match="non-finite reference"):
+            max_relative_error((1.0, math.inf), (1.0, 2.0))
+
+    def test_arrays_and_sequences_agree(self):
+        ref, est = [1.0, 2.0, 4.0], [1.1, 1.5, 4.0]
+        got = max_relative_error(np.array(ref), np.array(est))
+        assert got == max_relative_error(ref, est) == abs(1.5 - 2.0) / 2.0
+        assert max_relative_error((), ()) == 0.0
