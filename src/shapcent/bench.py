@@ -146,6 +146,8 @@ def run_comparison(
             raise ValueError(f"thresholds must be positive and finite, got {t}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if max_iter < ERROR_STRIDE:
         raise ValueError(
             f"max_iter {max_iter} is below the error stride {ERROR_STRIDE},"
@@ -160,6 +162,8 @@ def run_comparison(
     run_args = [
         (g, spec, max_iter, base_seed + r, reference, stop) for r in range(runs)
     ]
+    # the pool forks all its workers at its first submit
+    workers = min(workers, runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_one_mc_run, run_args))

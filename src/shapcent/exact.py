@@ -5,7 +5,8 @@ All solvers are pure functions of immutable inputs. "Degree" means
 in-degree, the summation neighborhood is the set of out-neighbors
 (influence flows along the edge direction), and distance to a node is
 measured along the edges. An undirected graph is its symmetric directed
-twin, so the same rules cover it without a case of their own.
+twin, so the same rules cover it without a case of their own. g5 reads
+the graph's arc arrays (Graph.in_arcs, out_arcs); g1-g4 walk its tuples.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import DecayFn, GameSpec, GameSpecError, cutoff_covers, one_hop_covers
-from .graph import Graph, settle
+from .graph import Arcs, Graph, settle
 
 INF = math.inf
 
@@ -246,16 +247,13 @@ def _subset_terms(w: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return self_terms, cross
 
 
-def _edge_slots(in_adj, out_adj) -> np.ndarray:
-    """Position in the in-adjacency listing of each edge of the
-    out-adjacency listing; edge u->v has key u*n+v in both."""
-    n = len(in_adj)
-    m = sum(len(adj) for adj in in_adj)
-    in_key = np.fromiter((u for adj in in_adj for u, _ in adj), np.int64, m) * n
-    in_key += np.repeat(np.arange(n), [len(adj) for adj in in_adj])
-    out_key = np.repeat(np.arange(n, dtype=np.int64) * n, [len(adj) for adj in out_adj])
-    out_key += np.fromiter((v for adj in out_adj for v, _ in adj), np.int64, m)
-    slot = np.empty(m, dtype=np.int64)
+def _edge_slots(in_arcs: Arcs, out_arcs: Arcs) -> np.ndarray:
+    """Position in the in-arc listing of each arc of the out-arc listing;
+    arc u->v has key u*n+v in both."""
+    n = len(in_arcs.ptr) - 1
+    in_key = in_arcs.ids * n + np.repeat(np.arange(n), np.diff(in_arcs.ptr))
+    out_key = np.repeat(np.arange(n) * n, np.diff(out_arcs.ptr)) + out_arcs.ids
+    slot = np.empty(len(in_key), dtype=np.int64)
     slot[np.argsort(out_key)] = np.argsort(in_key)
     return slot
 
@@ -292,53 +290,34 @@ def shapley_g5(g: Graph, w_cutoff, brute_force_degree_limit: int = 12) -> Shaple
     Summation order is fixed: each subset sum adds its weights left to
     right in adjacency order, each term adds its qualifying subsets'
     factors one at a time by ascending subset size, and a node's score
-    is its self term plus the cross terms in out-neighbor order.
+    is its self term plus the cross terms in out-neighbor order; one
+    bincount over the self terms, then the cross terms, keeps that order.
     """
     if brute_force_degree_limit < 2:
         raise GameSpecError(
             "brute_force_degree_limit must be >= 2 (degenerate moments need exactness)"
         )
-    spec = GameSpec.weighted_threshold(w_cutoff)
-    wc = spec.w_cutoff_values(g)
+    wc = np.array(GameSpec.weighted_threshold(w_cutoff).w_cutoff_values(g))
     n = g.node_count
-    # influence arrives along in-edges; the summation set is out-neighbors
-    in_adj = [g.in_neighbors(v) for v in range(n)]
-    alpha = [sum(w for _, w in adj) for adj in in_adj]
-    beta = [sum(w * w for _, w in adj) for adj in in_adj]
-    deg = [len(adj) for adj in in_adj]
-
-    def cross_term(vj: int, wij: float) -> float:
-        # the pool is vj's other d - 1 in-weights
-        d = deg[vj]
+    # influence arrives along in-arcs; the summation set is out-neighbors.
+    # cross_in[p]: the term in-arc p's source gets; an isolated node scores 1
+    selfs = np.ones(n)
+    cross_in = np.empty(len(g.in_arcs.ids))
+    for nodes, pos, _, w in g.in_arcs.by_degree(np.arange(n)):
+        d = w.shape[1]
+        if d <= brute_force_degree_limit:
+            selfs[nodes], cross_in[pos] = _subset_terms(w, wc[nodes])
+            continue
         factors = [(d - m) / (d * (d + 1.0)) for m in range(d)]
-        a, b = alpha[vj] - wij, beta[vj] - wij * wij
-        return _gaussian_sum(a, b, wc[vj] - wij, wc[vj], factors)
-
-    def self_term(vi: int) -> float:
-        d = deg[vi]
-        return _gaussian_sum(alpha[vi], beta[vi], -INF, wc[vi], [1.0] * (d + 1)) / (1.0 + d)
-
-    limit = brute_force_degree_limit
-    selfs = np.array([self_term(v) if deg[v] > limit else 1.0 for v in range(n)])
-    # exact cross terms, one per in-edge in in_adj order
-    start = np.cumsum([0] + deg)
-    cross_in = np.zeros(start[-1])
-    for d in sorted({d for d in deg if 0 < d <= limit}):
-        nodes = [v for v in range(n) if deg[v] == d]
-        weights = np.array([[w for _, w in in_adj[v]] for v in nodes])
-        selfs[nodes], x = _subset_terms(weights, np.array([wc[v] for v in nodes]))
-        cross_in[start[nodes][:, None] + np.arange(d)] = x
-    out_adj = [g.out_neighbors(v) for v in range(n)]
-    cross = cross_in[_edge_slots(in_adj, out_adj)]
-
-    scores = []
-    e = 0
-    for vi in range(n):
-        s = selfs[vi]
-        for vj, wij in out_adj[vi]:
-            s += cross[e] if deg[vj] <= limit else cross_term(vj, wij)
-            e += 1
-        scores.append(float(s))
+        for v, at, wv, c in zip(nodes.tolist(), pos.tolist(), w.tolist(), wc[nodes].tolist()):
+            a, b = sum(wv), sum(x * x for x in wv)
+            selfs[v] = _gaussian_sum(a, b, -INF, c, [1.0] * (d + 1)) / (1.0 + d)
+            for p, wij in zip(at, wv):
+                # the pool is v's other d - 1 in-weights
+                cross_in[p] = _gaussian_sum(a - wij, b - wij * wij, c - wij, c, factors)
+    owner = np.concatenate([np.arange(n), np.repeat(np.arange(n), np.diff(g.out_arcs.ptr))])
+    terms = np.concatenate([selfs, cross_in[_edge_slots(g.in_arcs, g.out_arcs)]])
+    scores = np.bincount(owner, terms, minlength=n).tolist()
     return ShapleyVector(tuple(scores), game="g5", method="gaussian_approx")
 
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 INF = math.inf
 
@@ -21,12 +24,40 @@ class GraphError(ValueError):
         self.edge = edge
 
 
+class Arcs(NamedTuple):
+    """One orientation of a graph's adjacency as arrays (CSR): node v's
+    arcs are entries ptr[v] to ptr[v + 1] of ids (their far ends) and
+    weights, in the order of v's adjacency listing."""
+
+    ptr: np.ndarray
+    ids: np.ndarray
+    weights: np.ndarray
+
+    @staticmethod
+    def of(adj: tuple[tuple[tuple[int, float], ...], ...]) -> "Arcs":
+        ptr = np.cumsum([0] + [len(a) for a in adj])
+        # the (id, weight) pairs in one stream; an id is exact as a float64
+        flat = np.fromiter((x for a in adj for arc in a for x in arc), float, 2 * int(ptr[-1]))
+        return Arcs(ptr, flat[0::2].astype(np.int64), flat[1::2].copy())
+
+    def by_degree(self, nodes: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+        """Groups of the given nodes with d >= 1 arcs, by ascending d, in the
+        given order: the nodes, and (nodes, d) arc positions, ids, weights."""
+        deg = np.diff(self.ptr)[nodes]
+        for d in sorted(set(deg[deg > 0].tolist())):
+            group = nodes[deg == d]
+            pos = self.ptr[group][:, None] + np.arange(d)
+            yield group, pos, self.ids[pos], self.weights[pos]
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple weighted/unweighted graph over dense 0-based node ids.
 
     Immutable after construction; all queries are pure and safe to call
-    from any number of workers.
+    from any number of workers. The arc tuples (out_neighbors,
+    in_neighbors) and the arc arrays (out_arcs, in_arcs, each built on
+    first use and kept) list the same arcs in the same order.
     """
 
     node_count: int
@@ -49,7 +80,7 @@ class Graph:
         An undirected edge is the arc pair u->v, v->u, so an undirected
         graph is its symmetric directed twin. Its in- and out-listings
         agree entry for entry and are one shared adjacency:
-        in_neighbors(v) is out_neighbors(v).
+        in_neighbors(v) is out_neighbors(v), and in_arcs is out_arcs.
         """
         if node_count < 0:
             raise GraphError(f"negative node count: {node_count}")
@@ -98,6 +129,14 @@ class Graph:
     def in_neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
         self._check_node(v)
         return self._in[v]
+
+    @cached_property
+    def out_arcs(self) -> Arcs:
+        return Arcs.of(self._out)
+
+    @cached_property
+    def in_arcs(self) -> Arcs:
+        return Arcs.of(self._in) if self.directed else self.out_arcs
 
 
 def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Graph:

@@ -5,10 +5,11 @@ evaluates a batch of them at once in numpy. In g1, g2, g3 and g5 every
 node u is worth one unit to a coalition that holds or completes it, so
 per permutation u's unit goes to one winner: u itself if it arrives
 first, otherwise the arrival that completes it. The block finds all
-winners from the arrival positions and counts them with bincount. g4
-takes a running minimum over the distance rows in arrival order.
-Distance-dependent state for g3/g4 is precomputed once; the
-precomputation time is reported separately from the sampling clock.
+winners from the arrival positions (g2 and g5 read Graph.in_arcs) and
+counts them with bincount. g4 takes a running minimum over the
+distance rows in arrival order. Distance-dependent state for g3/g4 is
+precomputed once; the precomputation time is reported separately from
+the sampling clock.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -78,18 +79,6 @@ def max_relative_error(reference, estimate) -> float:
     return float(np.max(np.abs(est - ref) / ref, initial=0.0))
 
 
-def _in_groups(g: Graph, nodes: Iterable[int]):
-    """The given nodes of in-degree d >= 1, one group per d: the nodes, and
-    their in-neighbor ids and in-weights as (nodes, d) arrays."""
-    by_degree: dict[int, list[int]] = {}
-    for v in nodes:
-        if g._in[v]:
-            by_degree.setdefault(len(g._in[v]), []).append(v)
-    for d, nodes in sorted(by_degree.items()):
-        ids = np.array([[u for u, _ in g._in[v]] for v in nodes], dtype=np.int64)
-        yield np.array(nodes), ids, np.array([[w for _, w in g._in[v]] for v in nodes])
-
-
 def _build_block(g: Graph, spec: GameSpec) -> tuple[Block, int]:
     """Per-game marginal-contribution block and its largest batch.
 
@@ -122,11 +111,12 @@ def _build_block(g: Graph, spec: GameSpec) -> tuple[Block, int]:
     elif game == "g2":
         # u's unit goes to its k(u)-th arriving in-neighbor unless u comes
         # first; a node with k(u) = 1 + deg(u) always keeps it
-        k = spec.k_values(g)
+        k = np.array(spec.k_values(g))
+        contested = np.flatnonzero(k <= np.diff(g.in_arcs.ptr))
         # kth: the flat index of each node's k-th entry in its sorted row
         groups = [
-            (nodes, nbrs, np.array([i * nbrs.shape[1] + k[v] - 1 for i, v in enumerate(nodes)]))
-            for nodes, nbrs, _ in _in_groups(g, [v for v in range(n) if k[v] <= len(g._in[v])])
+            (nodes, nbrs, np.arange(0, nbrs.size, nbrs.shape[1]) + k[nodes] - 1)
+            for nodes, _, nbrs, _ in g.in_arcs.by_degree(contested)
         ]
         width = n + sum(nbrs.size for _, nbrs, _ in groups)
 
@@ -140,10 +130,10 @@ def _build_block(g: Graph, spec: GameSpec) -> tuple[Block, int]:
     else:
         # g5: to the in-neighbor whose arrival lifts u's in-weight, summed in
         # arrival order from 0.0, to w_cutoff(u), unless u comes first
-        wc = spec.w_cutoff_values(g)
+        wc = np.array(spec.w_cutoff_values(g))
         groups = [
-            (nodes, nbrs, w, np.array([wc[v] for v in nodes])[:, None])
-            for nodes, nbrs, w in _in_groups(g, range(n))
+            (nodes, nbrs, w, wc[nodes, None])
+            for nodes, _, nbrs, w in g.in_arcs.by_degree(np.arange(n))
         ]
         width = n + sum(nbrs.size for _, nbrs, *_ in groups)
 
@@ -166,7 +156,7 @@ def _build_block(g: Graph, spec: GameSpec) -> tuple[Block, int]:
         b, n = perms.shape
         pos = np.empty_like(perms)  # pos[i, v]: where v arrives in permutation i
         pos[np.arange(b)[:, None], perms] = np.arange(n)
-        rows = np.arange(0, b * n, n)[:, None]
+        rows = np.arange(b)[:, None] * n
         # the offsets make permutation i's winners count in row i
         won_by = np.take(perms, winners(pos) + rows) + rows
         return np.bincount(won_by.ravel(), minlength=b * n).reshape(b, n).astype(float)
@@ -176,35 +166,22 @@ def _build_block(g: Graph, spec: GameSpec) -> tuple[Block, int]:
 
 def _proximity_block(g: Graph, spec: GameSpec) -> Block:
     """g4, one permutation at a time: each arrival earns f(new) - f(old)
-    for every node it brings closer, summed left to right over the nodes.
-    The distance rows go in chunks of at most _BATCH_BLOCK entries."""
+    for every node it brings closer, summed left to right over the nodes."""
     n = g.node_count
     table = distance_matrix(g, "forward")
     dmat = np.array(table, dtype=float).reshape(n, n)
     fmat = np.fromiter(map(spec.decay, itertools.chain.from_iterable(table)), float, n * n)
     fmat = fmat.reshape(n, n)
-    step = max(1, _BATCH_BLOCK // max(1, n))
-    cols = np.arange(n)
 
     def block(perms):
         (perm,) = perms
         dist, fdist = np.full(n, INF), np.zeros(n)
-        gain = np.empty(n)
-        for s in range(0, n, step):
-            arrivals = perm[s : s + step]
-            d, f = dmat[arrivals], fmat[arrivals]
-            before = np.vstack([dist, np.minimum(np.minimum.accumulate(d, axis=0), dist)])
-            closer = d < before[:-1]
-            # row of the last arrival that brought each node closer (0: none yet)
-            last = np.maximum.accumulate(
-                np.where(closer, np.arange(1, len(arrivals) + 1)[:, None], 0), axis=0
-            )
-            f_now = np.vstack([fdist, f])[last, cols]
-            f_old = np.vstack([fdist, f_now[:-1]])
-            gain[s : s + step] = np.cumsum(np.where(closer, f - f_old, 0.0), axis=1)[:, -1]
-            dist, fdist = before[-1], f_now[-1]
         out = np.empty((1, n))
-        out[0, perm] = gain
+        for v in perm:
+            closer = dmat[v] < dist
+            out[0, v] = np.cumsum(np.where(closer, fmat[v] - fdist, 0.0))[-1]
+            dist = np.where(closer, dmat[v], dist)
+            fdist = np.where(closer, fmat[v], fdist)
         return out
 
     return block

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from shapcent import gen_complete_weighted, gen_gnp, run_comparison, solve
+from shapcent import bench, gen_complete_weighted, gen_gnp, run_comparison, solve
 from shapcent.bench import ERROR_STRIDE
 from shapcent.games import GameSpec
 
@@ -90,6 +90,39 @@ class TestRunComparison:
         report, _ = run_comparison(g, spec, thresholds=[1e-9], runs=1,
                                    max_iter=ERROR_STRIDE, base_seed=1)
         assert report.results[0].mean_iterations == ERROR_STRIDE
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_workers_rejected(self, small_setup, workers):
+        g, spec = small_setup
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_comparison(g, spec, thresholds=[0.1], runs=1, max_iter=10, base_seed=1,
+                           workers=workers)
+
+    @pytest.mark.parametrize("runs, pools", [(1, []), (3, [3])])
+    def test_pool_has_at_most_one_worker_per_run(self, small_setup, monkeypatch, runs, pools):
+        # a recording stand-in, run serially: the real pool forks every
+        # worker it is sized for at its first submit
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        g, spec = small_setup
+        report, traces = run_comparison(g, spec, thresholds=[0.25], runs=runs, max_iter=50,
+                                        base_seed=3, workers=100_000)
+        assert sizes == pools
+        assert len(traces) == report.runs == runs
 
     def test_csv_and_table_render(self, small_setup):
         g, spec = small_setup

@@ -234,3 +234,10 @@ class TestBenchCommand:
                    "--runs", "1", "--iters", "100", "--seed", "1"])
         assert rc == 2
         assert "positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_exit_2(self, graph20, capsys, threads):
+        rc = main(["bench", "--game", "g1", "--input", graph20, "--thresholds", "0.25",
+                   "--runs", "1", "--iters", "100", "--seed", "1", "--threads", threads])
+        assert rc == 2
+        assert "workers must be >= 1" in capsys.readouterr().err

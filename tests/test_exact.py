@@ -369,6 +369,12 @@ class TestWeightedThresholdSolver:
         g = Graph.build(3, [(0, 1, 1.0)], weighted=True)
         assert shapley_g5(g, 0.5).scores[2] == 1.0
 
+    @pytest.mark.parametrize("n, directed", [(0, False), (5, False), (5, True)])
+    @pytest.mark.parametrize("limit", [2, 12])
+    def test_empty_and_edgeless_graphs(self, n, directed, limit):
+        g = Graph.build(n, [], directed=directed, weighted=True)
+        assert shapley_g5(g, 0.5, brute_force_degree_limit=limit).scores == (1.0,) * n
+
     def test_degree_limit_below_two_rejected(self, path3):
         with pytest.raises(GameSpecError):
             shapley_g5(path3, 0.5, brute_force_degree_limit=1)

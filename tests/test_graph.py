@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shapcent import (
@@ -16,7 +17,7 @@ from shapcent import (
 )
 from shapcent.bench import gen_gnp
 
-from .conftest import floyd_warshall, random_small_graph
+from .conftest import floyd_warshall, random_small_graph, undirected_twins, unit_graphs
 
 INF = math.inf
 
@@ -94,6 +95,44 @@ class TestQueries:
     def test_invalid_node_query(self, path3):
         with pytest.raises(GraphError, match="invalid node id"):
             path3.out_neighbors(3)
+
+
+@st.composite
+def graphs_and_nodes(draw):
+    """A graph from unit_graphs or undirected_twins, and a node set in a
+    drawn order."""
+    g = draw(st.one_of(unit_graphs(), undirected_twins().flatmap(st.sampled_from)))
+    return g, draw(st.lists(st.integers(0, g.node_count - 1), unique=True))
+
+
+class TestArcs:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_and_nodes())
+    @example((Graph.build(0, []), []))
+    @example((Graph.build(5, []), [4, 0, 2]))
+    @example((Graph.build(5, [], directed=True, weighted=True), [1, 3]))
+    def test_arrays_list_the_tuples(self, case):
+        g, nodes = case
+        assert (g.in_arcs is g.out_arcs) is not g.directed
+        assert g.out_arcs is g.out_arcs
+        for arcs, listing in ((g.out_arcs, g.out_neighbors), (g.in_arcs, g.in_neighbors)):
+            assert len(arcs.ptr) == g.node_count + 1 and arcs.ptr[0] == 0
+            assert arcs.ptr[-1] == len(arcs.ids) == len(arcs.weights)
+            for v in range(g.node_count):
+                row = slice(arcs.ptr[v], arcs.ptr[v + 1])
+                assert arcs.ids[row].tolist() == [u for u, _ in listing(v)]
+                want = np.array([w for _, w in listing(v)], dtype=float)
+                assert arcs.weights[row].tobytes() == want.tobytes()
+
+            groups = list(arcs.by_degree(np.array(nodes, dtype=np.int64)))
+            assert [v for group, *_ in groups for v in group.tolist()] == sorted(
+                (v for v in nodes if listing(v)), key=lambda v: (len(listing(v)), nodes.index(v))
+            )
+            for group, pos, ids, weights in groups:
+                for v, at, nbrs, ws in zip(group, pos, ids, weights):
+                    assert at.tolist() == list(range(arcs.ptr[v], arcs.ptr[v + 1]))
+                    assert nbrs.tolist() == arcs.ids[at].tolist()
+                    assert ws.tobytes() == arcs.weights[at].tobytes()
 
 
 class TestEdgeListIO:

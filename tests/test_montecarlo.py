@@ -354,6 +354,13 @@ class TestMcShapley:
         # scores are normalized by the iterations actually run
         assert sum(est.scores) == pytest.approx(15.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n, directed", [(0, False), (5, False), (5, True)])
+    @pytest.mark.parametrize("spec", [GameSpec.threshold(1), GameSpec.weighted_threshold(0.5)])
+    def test_empty_and_edgeless_graphs(self, n, directed, spec):
+        g = Graph.build(n, [], directed=directed, weighted=True)
+        est, _ = mc_shapley(g, spec, max_iter=7, seed=1, error_stride=3)
+        assert est.scores == (1.0,) * n
+
     def test_bad_arguments(self, path3):
         with pytest.raises(ValueError, match="max_iter"):
             mc_shapley(path3, GameSpec.fringe(), max_iter=0, seed=1)
