@@ -282,44 +282,54 @@ def characteristic_value(
     to avoid repeated Dijkstra runs for g3/g4.
     """
     members = _check_coalition(g, coalition)
-    if not members:
-        return 0.0
-    n = g.node_count
+    return _value_fn(g, spec, ctx)(members) if members else 0.0
+
+
+def _value_fn(g: Graph, spec: GameSpec, ctx=None) -> Callable[[set[int]], float]:
+    """The game's characteristic function on a checked, nonempty member set.
+    It broadcasts and checks the per-node parameters once, so a caller that
+    evaluates many coalitions (the brute-force oracle) checks them once."""
+    n, out = g.node_count, g._out
 
     if spec.game == "g1":
-        covered = set(members)
-        for c in members:
-            for u, _ in g.out_neighbors(c):
-                covered.add(u)
-        return float(len(covered))
+        def value(members):
+            covered = set(members)
+            for c in members:
+                for u, _ in out[c]:
+                    covered.add(u)
+            return float(len(covered))
 
-    if spec.game == "g2":
+    elif spec.game == "g2":
         k = spec.k_values(g)
-        hits = [0] * n
-        for c in members:
-            for u, _ in g.out_neighbors(c):
-                hits[u] += 1
-        return float(
-            sum(1 for v in range(n) if v in members or hits[v] >= k[v])
-        )
+        def value(members):
+            hits = [0] * n
+            for c in members:
+                for u, _ in out[c]:
+                    hits[u] += 1
+            return float(sum(1 for v in range(n) if v in members or hits[v] >= k[v]))
 
-    if spec.game == "g3":
+    elif spec.game == "g3":
         cut = spec.d_cutoff_values(g)
-        best = _min_distances(g, members, ctx)
-        return float(sum(1 for v in range(n) if best[v] <= cut[v]))
+        def value(members):
+            best = _min_distances(g, members, ctx)
+            return float(sum(1 for v in range(n) if best[v] <= cut[v]))
 
-    if spec.game == "g4":
+    elif spec.game == "g4":
         f = spec.decay
-        best = _min_distances(g, members, ctx)
-        return float(sum(f(d) for d in best))
+        def value(members):
+            best = _min_distances(g, members, ctx)
+            return float(sum(f(d) for d in best))
 
-    # g5
-    wc = spec.w_cutoff_values(g)
-    acc = [0.0] * n
-    for c in members:
-        for u, w in g.out_neighbors(c):
-            acc[u] += w
-    return float(sum(1 for v in range(n) if v in members or acc[v] >= wc[v]))
+    else:  # g5
+        wc = spec.w_cutoff_values(g)
+        def value(members):
+            acc = [0.0] * n
+            for c in members:
+                for u, w in out[c]:
+                    acc[u] += w
+            return float(sum(1 for v in range(n) if v in members or acc[v] >= wc[v]))
+
+    return value
 
 
 def grand_value(g: Graph, spec: GameSpec) -> float:

@@ -58,11 +58,24 @@ def random_small_graph(seed: int, n_max: int = 8, weighted: bool = True,
     return gen_gnp(n, p, seed=seed + 10_000, weighted=weighted, directed=directed)
 
 
+def tenth_hubs(directed: bool) -> tuple[Graph, dict[int, float]]:
+    """Hubs 0-2 reached from leaves 3-10 by arcs of weight 0.1, and a
+    w_cutoff map of sums of 0.1 added one at a time from 0.0. So a hub's
+    running in-weight lands exactly on its cutoff, as does a leaf's once
+    all three hubs arrive on the undirected graph."""
+    edges = [(leaf, hub, 0.1) for hub in range(3) for leaf in range(3, 11)]
+    tenths = [0.0]
+    for _ in range(8):
+        tenths.append(tenths[-1] + 0.1)
+    cut = {v: tenths[3 + v] if v < 3 else tenths[3] for v in range(11)}
+    return Graph.build(11, edges, directed=directed, weighted=True), cut
+
+
 @st.composite
-def unit_graphs(draw):
+def unit_graphs(draw, n_max: int = 12):
     """Small directed or undirected graphs with unit weights, edges in a
     drawn order, so adjacency order differs from node-id order."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, n_max))
     directed = draw(st.booleans())
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -87,6 +100,23 @@ def undirected_twins(draw, n_max: int = 12):
     arcs = [arc for u, v, w in edges for arc in ((u, v, w), (v, u, w))]
     return (Graph.build(n, edges, weighted=True),
             Graph.build(n, arcs, directed=True, weighted=True))
+
+
+@st.composite
+def weighted_graphs(draw, n_max: int = 9):
+    """Small graphs, directed or not, with integer weights (which force
+    ties) or weights drawn from (0, 1]."""
+    n = draw(st.integers(1, n_max))
+    directed = draw(st.booleans())
+    if draw(st.booleans()):
+        weight = st.integers(1, 3).map(float)
+    else:
+        weight = st.floats(0.0, 1.0, exclude_min=True)
+    pairs = [(u, v) for u in range(n) for v in range(n)
+             if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(u, v, draw(weight)) for u, v in chosen]
+    return Graph.build(n, edges, directed=directed, weighted=True)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from shapcent import (
 )
 from shapcent.bench import gen_gnp
 
-from .conftest import floyd_warshall, random_small_graph, undirected_twins, unit_graphs
+from .conftest import (
+    floyd_warshall,
+    random_small_graph,
+    undirected_twins,
+    unit_graphs,
+    weighted_graphs,
+)
 
 INF = math.inf
 
@@ -135,6 +142,19 @@ class TestArcs:
                     assert ws.tobytes() == arcs.weights[at].tobytes()
 
 
+@st.composite
+def any_weight_graphs(draw):
+    """Weighted graphs on 0..6 nodes whose weights range over every positive
+    finite float, subnormals and the largest included."""
+    n = draw(st.integers(0, 6))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    return Graph.build(n, [(u, v, draw(weight)) for u, v in chosen],
+                       directed=directed, weighted=True)
+
+
 class TestEdgeListIO:
     def test_basic_parse_with_comments(self):
         text = "# a comment\n\n0 1\n1 2\n"
@@ -206,13 +226,17 @@ class TestEdgeListIO:
         g = load_edge_list(["0 1", "1 2"])
         assert g.node_count == 3
 
-    @given(seed=st.integers(0, 500))
-    @settings(max_examples=30, deadline=None)
-    def test_dump_load_round_trip(self, seed):
-        g = random_small_graph(seed)
+    @given(g=st.one_of(st.integers(0, 500).map(random_small_graph), unit_graphs(),
+                       undirected_twins().flatmap(st.sampled_from), weighted_graphs(),
+                       any_weight_graphs()))
+    @settings(max_examples=100, deadline=None)
+    def test_dump_load_round_trip(self, g):
+        """Same node count, ids, weight bytes and direction."""
         back = load_edge_list(dump_edge_list(g), directed=g.directed, weighted=g.weighted)
         assert back.node_count == g.node_count
-        assert back.edges == g.edges
+        assert [(u, v) for u, v, _ in back.edges] == [(u, v) for u, v, _ in g.edges]
+        assert [struct.pack("<d", w) for *_, w in back.edges] == [
+            struct.pack("<d", w) for *_, w in g.edges]
         assert back.directed == g.directed and back.weighted == g.weighted
 
     def test_dump_includes_header(self, star4):
@@ -262,23 +286,6 @@ class TestShortestPaths:
             3, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0)], weighted=True
         )
         assert distance_matrix(g)[0][1] == 2.0
-
-
-@st.composite
-def weighted_graphs(draw):
-    """Small graphs, directed or not, with integer weights (which force
-    ties) or weights drawn from (0, 1]."""
-    n = draw(st.integers(1, 9))
-    directed = draw(st.booleans())
-    if draw(st.booleans()):
-        weight = st.integers(1, 3).map(float)
-    else:
-        weight = st.floats(0.0, 1.0, exclude_min=True)
-    pairs = [(u, v) for u in range(n) for v in range(n)
-             if u != v and (directed or u < v)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    edges = [(u, v, draw(weight)) for u, v in chosen]
-    return Graph.build(n, edges, directed=directed, weighted=True)
 
 
 class TestSettle:

@@ -20,7 +20,7 @@ from shapcent.games import (
 from shapcent.graph import distance_matrix
 from shapcent.montecarlo import ConvergenceTrace, permutation_contributions
 
-from .conftest import random_small_graph, unit_graphs
+from .conftest import random_small_graph, tenth_hubs, unit_graphs
 
 INF = math.inf
 
@@ -178,19 +178,6 @@ def _specs_for(g):
     ]
 
 
-def tenth_hubs(directed: bool) -> tuple[Graph, dict[int, float]]:
-    """Hubs 0-2 reached from leaves 3-10 by arcs of weight 0.1, and a
-    w_cutoff map of sums of 0.1 added one at a time from 0.0. So a hub's
-    running in-weight lands exactly on its cutoff, as does a leaf's once
-    all three hubs arrive on the undirected graph."""
-    edges = [(leaf, hub, 0.1) for hub in range(3) for leaf in range(3, 11)]
-    tenths = [0.0]
-    for _ in range(8):
-        tenths.append(tenths[-1] + 0.1)
-    cut = {v: tenths[3 + v] if v < 3 else tenths[3] for v in range(11)}
-    return Graph.build(11, edges, directed=directed, weighted=True), cut
-
-
 def _parity_specs(g: Graph) -> list[GameSpec]:
     deg = [len(g.in_neighbors(v)) for v in range(g.node_count)]
     return [
@@ -250,8 +237,8 @@ class TestBatchedSamplerParity:
 
     @pytest.mark.parametrize("budget", [1, 20, 200])
     def test_element_budget_splits_batches(self, budget):
-        # a small budget splits batches below the stride and g4's rows
-        # into chunks of a few arrivals
+        # a small budget splits batches below the stride; the g4 block
+        # walks arrivals one at a time and reads no budget
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_BATCH_BLOCK", budget)
             for directed in (False, True):
