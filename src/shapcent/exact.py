@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import DecayFn, GameSpec, GameSpecError, cutoff_covers, one_hop_covers
-from .graph import Arcs, Graph, settle
+from .graph import Arcs, Graph, data_lines, settle
 
 INF = math.inf
 
@@ -38,22 +38,15 @@ class ShapleyVector:
         return "\n".join(lines) + "\n"
 
 
-def read_scores(stream, game: str = "g1", method: str = "exact") -> ShapleyVector:
+def read_scores(stream, game: str = "g1") -> ShapleyVector:
     """Load a "node,score" CSV (as written by to_csv) into a ShapleyVector.
 
     A malformed line raises ValueError naming its line number: a field
     count other than two, a non-integer node id, or a score that does not
     parse or is not finite.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream
     pairs = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(stream):
         fields = line.replace("\t", ",").split(",")
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 2 fields, got {len(fields)}: {line!r}")
@@ -71,7 +64,7 @@ def read_scores(stream, game: str = "g1", method: str = "exact") -> ShapleyVecto
     pairs.sort()
     if [v for v, _ in pairs] != list(range(len(pairs))):
         raise ValueError("score file does not cover dense node ids")
-    return ShapleyVector(tuple(s for _, s in pairs), game=game, method=method)
+    return ShapleyVector(tuple(s for _, s in pairs), game=game, method="exact")
 
 
 @dataclass(frozen=True)

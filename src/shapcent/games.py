@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
-from .graph import Graph, settle
+from .graph import Graph, data_lines, settle
 
 GAME_TAGS = ("g1", "g2", "g3", "g4", "g5")
 
@@ -168,18 +168,19 @@ class GameSpec:
         return vals
 
     def d_cutoff_values(self, g: Graph) -> list[float]:
-        vals = _broadcast(self.d_cutoff, g.node_count, "d_cutoff")
-        for v, c in enumerate(vals):
-            if not c > 0:
-                raise GameSpecError(f"d_cutoff({v}) must be positive, got {c}")
-        return [float(c) for c in vals]
+        return _positive_cutoffs(self.d_cutoff, g.node_count, "d_cutoff")
 
     def w_cutoff_values(self, g: Graph) -> list[float]:
-        vals = _broadcast(self.w_cutoff, g.node_count, "w_cutoff")
-        for v, c in enumerate(vals):
-            if not c > 0:
-                raise GameSpecError(f"w_cutoff({v}) must be positive, got {c}")
-        return [float(c) for c in vals]
+        return _positive_cutoffs(self.w_cutoff, g.node_count, "w_cutoff")
+
+
+def _positive_cutoffs(param, n: int, name: str) -> list[float]:
+    """Per-node cutoff as floats, each checked to be positive."""
+    vals = _broadcast(param, n, name)
+    for v, c in enumerate(vals):
+        if not c > 0:
+            raise GameSpecError(f"{name}({v}) must be positive, got {c}")
+    return [float(c) for c in vals]
 
 
 def _broadcast(param, n: int, name: str) -> list:
@@ -200,15 +201,8 @@ def _broadcast(param, n: int, name: str) -> list:
 
 def load_node_params(stream, integral: bool = False) -> dict[int, float] | dict[int, int]:
     """Parse "node,value" CSV lines into a per-node parameter map."""
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream
     out: dict = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(stream):
         parts = line.split(",")
         if len(parts) != 2:
             raise GameSpecError(f"line {lineno}: expected 'node,value': {line!r}")
@@ -282,7 +276,8 @@ def characteristic_value(
     to avoid repeated Dijkstra runs for g3/g4.
     """
     members = _check_coalition(g, coalition)
-    return _value_fn(g, spec, ctx)(members) if members else 0.0
+    value = _value_fn(g, spec, ctx)  # checks the spec, even for no members
+    return value(members) if members else 0.0
 
 
 def _value_fn(g: Graph, spec: GameSpec, ctx=None) -> Callable[[set[int]], float]:

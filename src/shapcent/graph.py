@@ -139,6 +139,16 @@ class Graph:
         return Arcs.of(self._in) if self.directed else self.out_arcs
 
 
+def data_lines(stream) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of a text stream (a str
+    or an iterable of lines) that is neither blank nor a '#' comment."""
+    lines = stream.splitlines() if isinstance(stream, str) else stream
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Graph:
     """Parse an edge-list text stream into a Graph.
 
@@ -148,18 +158,11 @@ def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Gr
     Graph.build checks weights, self-loops and duplicates; its error is
     reported at the line of the edge it rejects.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream
     declared_nodes: int | None = None
     edges: list[tuple[int, int, float]] = []
     edge_lines: list[int] = []
     ids_seen: set[int] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(stream):
         parts = line.split()
         if parts[0] == "nodes":
             if len(parts) != 2:
@@ -263,13 +266,11 @@ def settle(
     return settled
 
 
-def distance_matrix(g: Graph, orientation: str = "forward") -> list[list[float]]:
-    """All-pairs matrix D[src][dst]; D[v][v] = 0, unreachable = +inf."""
-    mat: list[list[float]] = []
-    for src in range(g.node_count):
-        row = [INF] * g.node_count
-        for d, node in settle(g, src, orientation):
-            row[node] = d
-        mat.append(row)
+def distance_matrix(g: Graph, orientation: str = "forward") -> np.ndarray:
+    """All-pairs (n, n) float64 array D[src, dst], filled row by row from
+    settle; D[v, v] = 0, unreachable = +inf."""
+    mat = np.full((g.node_count, g.node_count), INF)
+    for src, row in enumerate(mat):
+        dist, nodes = zip(*settle(g, src, orientation))
+        row[list(nodes)] = dist
     return mat
-

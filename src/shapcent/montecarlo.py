@@ -6,10 +6,11 @@ node u is worth one unit to a coalition that holds or completes it, so
 per permutation u's unit goes to one winner: u itself if it arrives
 first, otherwise the arrival that completes it. The block finds all
 winners from the arrival positions (g2 and g5 read Graph.in_arcs) and
-counts them with bincount. g4 takes a running minimum over the
-distance rows in arrival order. Distance-dependent state for g3/g4 is
-precomputed once; the precomputation time is reported separately from
-the sampling clock.
+counts them with bincount. g4 takes a running minimum over the rows
+of one distance table in arrival order and evaluates the decay only at
+the nodes an arrival brings closer. Each block's per-game state (covers,
+arc groups, g4's distance table) is built once; that time is reported
+separately from the sampling clock.
 """
 from __future__ import annotations
 
@@ -165,23 +166,23 @@ def _build_block(g: Graph, spec: GameSpec) -> tuple[Block, int]:
 
 
 def _proximity_block(g: Graph, spec: GameSpec) -> Block:
-    """g4, one permutation at a time: each arrival earns f(new) - f(old)
-    for every node it brings closer, summed left to right over the nodes."""
-    n = g.node_count
-    table = distance_matrix(g, "forward")
-    dmat = np.array(table, dtype=float).reshape(n, n)
-    fmat = np.fromiter(map(spec.decay, itertools.chain.from_iterable(table)), float, n * n)
-    fmat = fmat.reshape(n, n)
+    """g4, one permutation at a time, on the one distance table: each
+    arrival v earns f(new) - f(old) at the nodes `at` it brings closer
+    (v among them, as weights are positive), summed left to right, so f
+    is evaluated only where a distance falls."""
+    n, f = g.node_count, spec.decay
+    dmat = distance_matrix(g, "forward")
 
     def block(perms):
         (perm,) = perms
         dist, fdist = np.full(n, INF), np.zeros(n)
         out = np.empty((1, n))
         for v in perm:
-            closer = dmat[v] < dist
-            out[0, v] = np.cumsum(np.where(closer, fmat[v] - fdist, 0.0))[-1]
-            dist = np.where(closer, dmat[v], dist)
-            fdist = np.where(closer, fmat[v], fdist)
+            at = np.flatnonzero(dmat[v] < dist)
+            near = dmat[v, at]
+            f_new = np.fromiter(map(f, near.tolist()), float, len(at))
+            out[0, v] = np.cumsum(f_new - fdist[at])[-1]
+            dist[at], fdist[at] = near, f_new
         return out
 
     return block

@@ -144,6 +144,12 @@ class TestCharacteristicValues:
         ):
             assert characteristic_value(path3, spec, []) == 0.0
 
+    def test_empty_coalition_still_checks_the_spec(self, path3):
+        for spec in (GameSpec.threshold(99), GameSpec.cutoff(-1.0)):
+            for coalition in ([], [0]):
+                with pytest.raises(GameSpecError):
+                    characteristic_value(path3, spec, coalition)
+
     def test_fringe_counts_one_hop(self, path3):
         spec = GameSpec.fringe()
         assert characteristic_value(path3, spec, [0]) == 2.0

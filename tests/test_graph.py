@@ -17,6 +17,7 @@ from shapcent import (
     settle,
 )
 from shapcent.bench import gen_gnp
+from shapcent.graph import data_lines
 
 from .conftest import (
     floyd_warshall,
@@ -243,6 +244,13 @@ class TestEdgeListIO:
         assert dump_edge_list(star4).splitlines()[0] == "nodes 4"
 
 
+class TestDataLines:
+    def test_skips_blank_and_comment_lines_and_counts_every_line(self):
+        text = "# header\n\n  0 1  \n\t# note\n1 2\n"
+        assert list(data_lines(text)) == [(3, "0 1"), (5, "1 2")]
+        assert list(data_lines(text.splitlines(keepends=True))) == [(3, "0 1"), (5, "1 2")]
+
+
 class TestShortestPaths:
     def test_unreachable_is_infinite(self):
         g = Graph.build(3, [(0, 1, 1.0)])
@@ -267,6 +275,8 @@ class TestShortestPaths:
         g = random_small_graph(seed, n_max=9)
         want = floyd_warshall(g)
         got = distance_matrix(g, "forward")
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == (g.node_count, g.node_count)
         for src in range(g.node_count):
             for dst in range(g.node_count):
                 assert got[src][dst] == pytest.approx(want[src][dst], abs=1e-12)

@@ -286,6 +286,36 @@ class TestIncrementalBlocks:
         )
 
 
+class TestProximityBlock:
+    def test_decay_is_evaluated_only_where_an_arrival_brings_a_node_closer(self):
+        n = 30
+        g = Graph.build(n, [(v, v + 1, 1.0) for v in range(n - 1)])
+        calls = [0]
+
+        def counting_exp(d):
+            calls[0] += 1
+            return math.exp(-d)
+
+        spec = GameSpec.proximity(DecayFn.custom(counting_exp))
+        calls[0] = 0  # DecayFn.custom probes the decay once
+        block, _ = montecarlo._build_block(g, spec)
+        assert calls[0] == 0
+        dmat = distance_matrix(g, "forward").tolist()
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            perm = rng.permutation(n)
+            # one call per (arrival, node brought closer) pair
+            dist, pairs = [INF] * n, 0
+            for v in perm.tolist():
+                for u in range(n):
+                    if dmat[v][u] < dist[u]:
+                        dist[u] = dmat[v][u]
+                        pairs += 1
+            calls[0] = 0
+            block(perm.reshape(1, n))
+            assert calls[0] == pairs < n * n
+
+
 class TestMcShapley:
     def test_same_seed_is_bit_identical(self):
         g = gen_gnp(20, 0.3, seed=5)
