@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
+import numpy as np
+
 from .graph import Graph, data_lines, settle
 
 GAME_TAGS = ("g1", "g2", "g3", "g4", "g5")
@@ -272,8 +274,8 @@ def characteristic_value(
 ) -> float:
     """Evaluate the game's characteristic function on a coalition.
 
-    ctx may carry a precomputed forward distance matrix (distance_matrix)
-    to avoid repeated Dijkstra runs for g3/g4.
+    ctx may carry the forward distance matrix (distance_matrix, or any
+    n x n nested sequence) to avoid repeated Dijkstra runs for g3/g4.
     """
     members = _check_coalition(g, coalition)
     value = _value_fn(g, spec, ctx)  # checks the spec, even for no members
@@ -285,6 +287,8 @@ def _value_fn(g: Graph, spec: GameSpec, ctx=None) -> Callable[[set[int]], float]
     It broadcasts and checks the per-node parameters once, so a caller that
     evaluates many coalitions (the brute-force oracle) checks them once."""
     n, out = g.node_count, g._out
+    # nested lists: the naive loops read Python floats faster than array scalars
+    ctx = None if ctx is None else np.asarray(ctx, dtype=float).tolist()
 
     if spec.game == "g1":
         def value(members):

@@ -167,22 +167,26 @@ def _build_block(g: Graph, spec: GameSpec) -> tuple[Block, int]:
 
 def _proximity_block(g: Graph, spec: GameSpec) -> Block:
     """g4, one permutation at a time, on the one distance table: each
-    arrival v earns f(new) - f(old) at the nodes `at` it brings closer
-    (v among them, as weights are positive), summed left to right, so f
-    is evaluated only where a distance falls."""
+    arrival v earns f(new) - f(old) at the few nodes it brings closer (v
+    among them, as weights are positive), added left to right in Python,
+    so f is evaluated only where a distance falls."""
     n, f = g.node_count, spec.decay
     dmat = distance_matrix(g, "forward")
 
     def block(perms):
         (perm,) = perms
-        dist, fdist = np.full(n, INF), np.zeros(n)
+        dist, fdist = np.full(n, INF), [0.0] * n
         out = np.empty((1, n))
-        for v in perm:
-            at = np.flatnonzero(dmat[v] < dist)
-            near = dmat[v, at]
-            f_new = np.fromiter(map(f, near.tolist()), float, len(at))
-            out[0, v] = np.cumsum(f_new - fdist[at])[-1]
-            dist[at], fdist[at] = near, f_new
+        for v in perm.tolist():
+            row = dmat[v]
+            at = np.flatnonzero(row < dist)
+            near = dist[at] = row[at]
+            gain = 0.0
+            for u, d in zip(at.tolist(), near.tolist()):
+                f_new = f(d)
+                gain += f_new - fdist[u]
+                fdist[u] = f_new
+            out[0, v] = gain
         return out
 
     return block

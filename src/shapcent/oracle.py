@@ -38,8 +38,7 @@ def brute_force_shapley(
         raise OracleSizeError(
             f"graph has {n} nodes, above the enumeration limit {node_limit}"
         )
-    # nested lists: the naive loops read Python floats faster than array scalars
-    ctx = distance_matrix(g, "forward").tolist() if spec.game in ("g3", "g4") else None
+    ctx = distance_matrix(g, "forward") if spec.game in ("g3", "g4") else None
     value_of = _value_fn(g, spec, ctx)
     value = array("d", bytes(8 << n))
     for mask in range(1, 1 << n):

@@ -297,7 +297,7 @@ class TestProximityBlock:
             return math.exp(-d)
 
         spec = GameSpec.proximity(DecayFn.custom(counting_exp))
-        calls[0] = 0  # DecayFn.custom probes the decay once
+        calls[0] = 0  # DecayFn.custom probes the decay at _DECAY_PROBE
         block, _ = montecarlo._build_block(g, spec)
         assert calls[0] == 0
         dmat = distance_matrix(g, "forward").tolist()
