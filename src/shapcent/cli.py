@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .bench import gen_complete_weighted, gen_gnp, run_comparison
 from .exact import read_scores, solve
-from .games import DecayFn, GameSpec, load_node_params
+from .games import Decay, DecayFn, GameSpec, load_node_params
 from .graph import dump_edge_list, load_edge_list
 from .montecarlo import mc_shapley
 from .oracle import DEFAULT_NODE_LIMIT, brute_force_shapley
@@ -31,7 +31,7 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _parse_decay(token: str) -> DecayFn:
+def _parse_decay(token: str) -> Decay:
     if token == "inv-linear":
         return DecayFn.inv_linear()
     if token == "inv-quadratic":

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .games import DecayFn, GameSpec, GameSpecError, cutoff_covers, one_hop_covers
+from .games import Decay, DecayFn, GameSpec, GameSpecError, cutoff_covers, one_hop_covers
 from .graph import Arcs, Graph, data_lines, settle
 
 INF = math.inf
@@ -154,16 +154,16 @@ def shapley_g3(g: Graph, d_cutoff) -> ShapleyVector:
     return ShapleyVector(_coverage(covers), game="g3", method="exact")
 
 
-def shapley_g4(g: Graph, f: DecayFn) -> ShapleyVector:
+def shapley_g4(g: Graph, f: Decay) -> ShapleyVector:
     """Exact Shapley values for the decay-weighted proximity game.
 
     Each node's pass takes the other nodes in ascending distance *to* it
     (the reverse search) and accumulates expected marginal contributions
     with a backward cumulative sum; equal-distance nodes share one value.
-    Unreachable nodes are skipped: f(inf) = 0, so they add nothing.
+    f first passes DecayFn.custom's probe check, so f(inf) = 0 and the
+    unreachable nodes, which add nothing, are skipped.
     """
-    if not isinstance(f, DecayFn):
-        f = DecayFn.custom(f)
+    DecayFn.custom(f)
     n = g.node_count
     scores = [0.0] * n
     for target in range(n):

@@ -25,7 +25,9 @@ GAME_TAGS = ("g1", "g2", "g3", "g4", "g5")
 
 INF = math.inf
 
-# probe grid used to sanity-check custom decay functions
+Decay = Callable[[float], float]
+
+# probe grid on which DecayFn.custom checks every decay
 _DECAY_PROBE = (0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, INF)
 
 
@@ -49,48 +51,43 @@ def _step(d: float, c: float) -> float:
     return 1.0 if d <= c else 0.0
 
 
-@dataclass(frozen=True)
 class DecayFn:
-    """Non-increasing nonnegative distance decay with f(+inf) = 0."""
-
-    variant: str
-    _fn: Callable[[float], float]
-
-    def __call__(self, d: float) -> float:
-        return self._fn(d)
+    """Factories of g4 distance decays. Each returns a plain function
+    d -> f(d) that passed `custom`'s probe check: finite, nonnegative,
+    non-increasing and 0 at +inf. The class has no instances."""
 
     @staticmethod
-    def inv_linear() -> "DecayFn":
-        return DecayFn("inv_linear", _inv_linear)
+    def inv_linear() -> Decay:
+        return DecayFn.custom(_inv_linear)
 
     @staticmethod
-    def inv_quadratic() -> "DecayFn":
-        return DecayFn("inv_quadratic", _inv_quadratic)
+    def inv_quadratic() -> Decay:
+        return DecayFn.custom(_inv_quadratic)
 
     @staticmethod
-    def exponential() -> "DecayFn":
-        return DecayFn("exponential", _exponential)
+    def exponential() -> Decay:
+        return DecayFn.custom(_exponential)
 
     @staticmethod
-    def step(c: float) -> "DecayFn":
+    def step(c: float) -> Decay:
         if not c > 0:
             raise GameSpecError(f"step threshold must be positive, got {c}")
-        return DecayFn(f"step:{c:g}", functools.partial(_step, c=c))
+        # a partial of a module-level function pickles; a closure does not
+        return DecayFn.custom(functools.partial(_step, c=c))
 
     @staticmethod
-    def custom(fn: Callable[[float], float], name: str = "custom") -> "DecayFn":
+    def custom(fn: Decay) -> Decay:
+        """fn itself, once its values on the probe grid meet the contract."""
         vals = [fn(d) for d in _DECAY_PROBE]
-        if not math.isfinite(vals[0]):
-            raise GameSpecError("decay value at distance 0 must be finite")
-        for v in vals:
-            if v < 0:
-                raise GameSpecError("decay function must be nonnegative")
-        for a, b in zip(vals, vals[1:]):
-            if b > a:
-                raise GameSpecError("decay function must be non-increasing")
+        if not all(math.isfinite(v) for v in vals):
+            raise GameSpecError("decay function must be finite")
+        if any(v < 0 for v in vals):
+            raise GameSpecError("decay function must be nonnegative")
+        if any(b > a for a, b in zip(vals, vals[1:])):
+            raise GameSpecError("decay function must be non-increasing")
         if vals[-1] != 0.0:
             raise GameSpecError("decay function must vanish at +infinity")
-        return DecayFn(name, fn)
+        return fn
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ class GameSpec:
     game: str
     k: Mapping[int, int] | int | None = None
     d_cutoff: Mapping[int, float] | float | None = None
-    decay: DecayFn | None = None
+    decay: Decay | None = None
     w_cutoff: Mapping[int, float] | float | None = None
 
     def __post_init__(self):
@@ -114,6 +111,8 @@ class GameSpec:
         needed = {"g2": self.k, "g3": self.d_cutoff, "g4": self.decay, "g5": self.w_cutoff}
         if self.game in needed and needed[self.game] is None:
             raise GameSpecError(f"game {self.game} requires its parameter")
+        if self.game == "g4":
+            DecayFn.custom(self.decay)
         import numbers
 
         for name in ("k", "d_cutoff", "w_cutoff"):
@@ -142,7 +141,7 @@ class GameSpec:
         return GameSpec("g3", d_cutoff=d_cutoff)
 
     @staticmethod
-    def proximity(decay: DecayFn) -> "GameSpec":
+    def proximity(decay: Decay) -> "GameSpec":
         return GameSpec("g4", decay=decay)
 
     @staticmethod

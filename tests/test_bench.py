@@ -6,7 +6,7 @@ import pytest
 
 from shapcent import bench, gen_complete_weighted, gen_gnp, run_comparison, solve
 from shapcent.bench import ERROR_STRIDE
-from shapcent.games import GameSpec
+from shapcent.games import DecayFn, GameSpec
 
 
 class TestGenerators:
@@ -154,6 +154,17 @@ class TestRunComparison:
         kwargs = dict(thresholds=[0.25], runs=2, max_iter=2000, base_seed=3)
         serial, ts = run_comparison(g, spec, workers=1, **kwargs)
         parallel, tp = run_comparison(g, spec, workers=2, **kwargs)
+        assert [r.mean_iterations for r in serial.results] == [
+            r.mean_iterations for r in parallel.results
+        ]
+
+    def test_parallel_step_decay_matches_serial_iterations(self):
+        # the spec goes to the workers by pickle, its step decay included
+        g = gen_gnp(20, 0.25, seed=5)
+        spec = GameSpec.proximity(DecayFn.step(1.0))
+        kwargs = dict(thresholds=[0.25], runs=2, max_iter=1000, base_seed=3)
+        serial, _ = run_comparison(g, spec, workers=1, **kwargs)
+        parallel, _ = run_comparison(g, spec, workers=2, **kwargs)
         assert [r.mean_iterations for r in serial.results] == [
             r.mean_iterations for r in parallel.results
         ]

@@ -64,6 +64,14 @@ class TestExactCommand:
         assert rc == 2
         assert "unknown decay" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("decay", ["step:inf", "step:1e400"])
+    def test_step_decay_that_never_vanishes_exits_2(self, tmp_path, capsys, decay):
+        edge = tmp_path / "edge.txt"
+        edge.write_text("0 1\n")
+        assert main(["exact", "--game", "g4", "--decay", decay, "--directed",
+                     "--input", str(edge)]) == 2
+        assert "shapcent: error: decay function must vanish" in capsys.readouterr().err
+
     def test_step_decay_matches_distance_cutoff(self, path3_file, capsys):
         assert main(
             ["exact", "--game", "g4", "--decay", "step:1.0", "--input", path3_file]

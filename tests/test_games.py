@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapcent import Graph, characteristic_value, grand_value, load_node_params
+from shapcent.exact import shapley_g4
 from shapcent.games import DecayFn, GameSpec, GameSpecError
 from shapcent.graph import distance_matrix
 
@@ -30,8 +32,7 @@ class TestDecayFn:
             DecayFn.step(0.0)
 
     def test_custom_accepts_valid_decay(self):
-        f = DecayFn.custom(lambda d: 2.0 / (2.0 + d), name="shifted")
-        assert f.variant == "shifted"
+        f = DecayFn.custom(lambda d: 2.0 / (2.0 + d))
         assert f(2.0) == 0.5
 
     def test_custom_rejects_negative(self):
@@ -49,6 +50,28 @@ class TestDecayFn:
     def test_custom_rejects_infinite_at_zero(self):
         with pytest.raises(GameSpecError, match="finite"):
             DecayFn.custom(lambda d: 1.0 / d if d > 0 else INF)
+
+    def test_custom_rejects_nan_past_zero(self):
+        with pytest.raises(GameSpecError, match="finite"):
+            DecayFn.custom(lambda d: 1.0 if d == 0 else (0.0 if d == INF else math.nan))
+
+    def test_step_that_never_vanishes_is_rejected(self):
+        with pytest.raises(GameSpecError, match="vanish"):
+            DecayFn.step(INF)
+
+    def test_proximity_and_shapley_g4_check_a_raw_callable(self, path3):
+        with pytest.raises(GameSpecError, match="vanish"):
+            GameSpec.proximity(lambda d: 1.0)
+        with pytest.raises(GameSpecError, match="vanish"):
+            shapley_g4(path3, lambda d: 1.0)
+
+    def test_factory_decays_pickle_inside_a_spec(self):
+        for decay in (DecayFn.inv_linear(), DecayFn.inv_quadratic(),
+                      DecayFn.exponential(), DecayFn.step(1.5)):
+            spec = pickle.loads(pickle.dumps(GameSpec.proximity(decay)))
+            assert [spec.decay(d) for d in (0.0, 1.5, 2.0, INF)] == [
+                decay(d) for d in (0.0, 1.5, 2.0, INF)
+            ]
 
 
 class TestGameSpec:
@@ -223,5 +246,5 @@ class TestCharacteristicValues:
     def test_grand_value(self, path3):
         assert grand_value(path3, GameSpec.fringe()) == 3.0
         assert grand_value(path3, GameSpec.weighted_threshold(1.0)) == 3.0
-        half = DecayFn.custom(lambda d: 0.5 / (1.0 + d), name="half")
+        half = DecayFn.custom(lambda d: 0.5 / (1.0 + d))
         assert grand_value(path3, GameSpec.proximity(half)) == 1.5
