@@ -303,7 +303,10 @@ def shapley_g5(g: Graph, w_cutoff, brute_force_degree_limit: int = 12) -> Shaple
             continue
         factors = [(d - m) / (d * (d + 1.0)) for m in range(d)]
         for v, at, wv, c in zip(nodes.tolist(), pos.tolist(), w.tolist(), wc[nodes].tolist()):
-            a, b = sum(wv), sum(x * x for x in wv)
+            a = b = 0.0  # left to right: sum() compensates from Python 3.12
+            for x in wv:
+                a += x
+                b += x * x
             selfs[v] = _gaussian_sum(a, b, -INF, c, [1.0] * (d + 1)) / (1.0 + d)
             for p, wij in zip(at, wv):
                 # the pool is v's other d - 1 in-weights

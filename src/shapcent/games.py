@@ -79,7 +79,11 @@ class DecayFn:
     def custom(fn: Decay) -> Decay:
         """fn itself, once its values on the probe grid meet the contract."""
         vals = [fn(d) for d in _DECAY_PROBE]
-        if not all(math.isfinite(v) for v in vals):
+        try:
+            finite = all(math.isfinite(v) for v in vals)
+        except TypeError:
+            raise GameSpecError("decay function must return real numbers") from None
+        if not finite:
             raise GameSpecError("decay function must be finite")
         if any(v < 0 for v in vals):
             raise GameSpecError("decay function must be nonnegative")
@@ -238,9 +242,7 @@ def _min_distances(
                 if row[v] < best[v]:
                     best[v] = row[v]
         else:
-            for d, node in settle(g, c, "forward"):
-                if d < best[node]:
-                    best[node] = d
+            settle(g, c, "forward", bound=best)
     return best
 
 
@@ -315,8 +317,10 @@ def _value_fn(g: Graph, spec: GameSpec, ctx=None) -> Callable[[set[int]], float]
     elif spec.game == "g4":
         f = spec.decay
         def value(members):
-            best = _min_distances(g, members, ctx)
-            return float(sum(f(d) for d in best))
+            total = 0.0  # left to right: sum() compensates from Python 3.12
+            for d in _min_distances(g, members, ctx):
+                total += f(d)
+            return float(total)
 
     else:  # g5
         wc = spec.w_cutoff_values(g)

@@ -231,16 +231,17 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def settle(
-    g: Graph, source: int, orientation: str = "forward", limit: float = INF
-) -> list[tuple[float, int]]:
-    """Dijkstra from (forward) or to (reverse) source, bounded at limit.
+def settle(g: Graph, source: int, orientation: str = "forward", limit: float = INF,
+           bound: list[float] | None = None) -> list[tuple[float, int]]:
+    """Dijkstra from (forward) or to (reverse) source, below a per-node bound.
 
-    Returns (distance, node) for every node within limit, in settle
-    order: source first, then ascending (distance, node). A candidate
-    above limit is never queued, so the result is the unbounded search
-    filtered to distance <= limit, bit for bit. (A weight that vanishes
-    when added to a distance can settle a tied node out of id order.)
+    Returns (distance, node) for every node u below bound[u], in settle
+    order: source first, then ascending (distance, node). bound, n
+    floats, is lowered in place to min(bound[u], distance); without it
+    every node's bound is the next float above limit. If bound[u] <=
+    bound[p] + w on each arc p -> u, as for a minimum of searches, the
+    result is the unbounded search's nodes below their bounds, bit for
+    bit. (A weight that vanishes when added can settle ties out of order.)
     """
     g._check_node(source)
     if orientation == "forward":
@@ -249,7 +250,9 @@ def settle(
         adj = g._in
     else:
         raise GraphError(f"unknown orientation {orientation!r}")
-    dist = [INF] * g.node_count
+    dist = [math.nextafter(limit, INF)] * g.node_count if bound is None else bound
+    if not 0.0 < dist[source]:
+        return []
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
     settled: list[tuple[float, int]] = []
@@ -260,17 +263,18 @@ def settle(
         settled.append((d, u))
         for v, w in adj[u]:
             nd = d + w
-            if nd < dist[v] and nd <= limit:
+            if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return settled
 
 
 def distance_matrix(g: Graph, orientation: str = "forward") -> np.ndarray:
-    """All-pairs (n, n) float64 array D[src, dst], filled row by row from
-    settle; D[v, v] = 0, unreachable = +inf."""
-    mat = np.full((g.node_count, g.node_count), INF)
-    for src, row in enumerate(mat):
-        dist, nodes = zip(*settle(g, src, orientation))
-        row[list(nodes)] = dist
-    return mat
+    """All-pairs (n, n) float64 array D[src, dst]: each row is an
+    all-infinite bound list that settle from src lowers; D[v, v] = 0,
+    unreachable = +inf."""
+    n = g.node_count
+    rows = [[INF] * n for _ in range(n)]
+    for src, row in enumerate(rows):
+        settle(g, src, orientation, bound=row)
+    return np.array(rows, dtype=float).reshape(n, n)

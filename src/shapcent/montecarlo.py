@@ -6,11 +6,12 @@ node u is worth one unit to a coalition that holds or completes it, so
 per permutation u's unit goes to one winner: u itself if it arrives
 first, otherwise the arrival that completes it. The block finds all
 winners from the arrival positions (g2 and g5 read Graph.in_arcs) and
-counts them with bincount. g4 takes a running minimum over the rows
-of one distance table in arrival order and evaluates the decay only at
-the nodes an arrival brings closer. Each block's per-game state (covers,
-arc groups, g4's distance table) is built once; that time is reported
-separately from the sampling clock.
+counts them with bincount. g4 keeps each node's running minimum
+distance from the coalition, lowered by one shortest-path search per
+arrival that queues only the nodes the arrival brings closer, and
+evaluates the decay only there. Each block's per-game state (covers, arc
+groups) is built once; that time is reported separately from the
+sampling clock.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .exact import ShapleyVector
 from .games import GameSpec, cutoff_covers, grand_value, one_hop_covers
-from .graph import Graph, distance_matrix
+from .graph import Graph, settle
 
 INF = math.inf
 
@@ -166,24 +167,22 @@ def _build_block(g: Graph, spec: GameSpec) -> tuple[Block, int]:
 
 
 def _proximity_block(g: Graph, spec: GameSpec) -> Block:
-    """g4, one permutation at a time, on the one distance table: each
-    arrival v earns f(new) - f(old) at the few nodes it brings closer (v
-    among them, as weights are positive), added left to right in Python,
-    so f is evaluated only where a distance falls."""
+    """g4, one permutation at a time: each arrival v earns f(new) - f(old)
+    at the nodes it brings closer (v among them, as weights are positive),
+    added in ascending node id. A search from v bounded by the running
+    minimum `dist` finds just those nodes and lowers them to the full
+    search's bits (see settle), so f is evaluated only where a distance
+    falls, and no all-pairs table is built."""
     n, f = g.node_count, spec.decay
-    dmat = distance_matrix(g, "forward")
 
     def block(perms):
         (perm,) = perms
-        dist, fdist = np.full(n, INF), [0.0] * n
+        dist, fdist = [INF] * n, [0.0] * n
         out = np.empty((1, n))
         for v in perm.tolist():
-            row = dmat[v]
-            at = np.flatnonzero(row < dist)
-            near = dist[at] = row[at]
             gain = 0.0
-            for u, d in zip(at.tolist(), near.tolist()):
-                f_new = f(d)
+            for u in sorted(u for _, u in settle(g, v, bound=dist)):
+                f_new = f(dist[u])
                 gain += f_new - fdist[u]
                 fdist[u] = f_new
             out[0, v] = gain

@@ -55,6 +55,11 @@ class TestDecayFn:
         with pytest.raises(GameSpecError, match="finite"):
             DecayFn.custom(lambda d: 1.0 if d == 0 else (0.0 if d == INF else math.nan))
 
+    @pytest.mark.parametrize("value", [None, "1", 1j])
+    def test_custom_rejects_non_numeric_values(self, value):
+        with pytest.raises(GameSpecError, match="real numbers"):
+            GameSpec.proximity(lambda d: value)
+
     def test_step_that_never_vanishes_is_rejected(self):
         with pytest.raises(GameSpecError, match="vanish"):
             DecayFn.step(INF)

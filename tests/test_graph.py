@@ -22,6 +22,7 @@ from shapcent.graph import data_lines
 from .conftest import (
     floyd_warshall,
     random_small_graph,
+    tenth_hubs,
     undirected_twins,
     unit_graphs,
     weighted_graphs,
@@ -326,6 +327,39 @@ class TestSettle:
         assert dists == sorted(dists)
         if all(w.is_integer() for _, _, w in g.edges):
             assert row == sorted(row)  # ties in ascending node id
+
+    @given(
+        g=st.one_of(
+            unit_graphs(),
+            weighted_graphs(),
+            undirected_twins().flatmap(st.sampled_from),
+            st.booleans().map(lambda directed: tenth_hubs(directed)[0]),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bound_list_is_lowered_to_the_full_search(self, g, data):
+        n = g.node_count
+        orientation = data.draw(st.sampled_from(["forward", "reverse"]))
+        # the running minimum over a few searches, as the g4 sampler keeps it
+        bound = [INF] * n
+        for src in data.draw(st.lists(st.integers(0, n - 1), max_size=4)):
+            for d, u in settle(g, src, orientation):
+                bound[u] = min(bound[u], d)
+        source = data.draw(st.integers(0, n - 1))
+        full = {u: d for d, u in settle(g, source, orientation)}
+        old = list(bound)
+        got = settle(g, source, orientation, bound=bound)
+
+        def bits(x):
+            return struct.pack("<d", x)
+
+        below = {u: d for u, d in full.items() if d < old[u]}
+        assert sorted(u for _, u in got) == sorted(below)
+        assert [bits(d) for d, u in got] == [bits(below[u]) for _, u in got]
+        assert [bits(b) for b in bound] == [
+            bits(min(o, full.get(u, INF))) for u, o in enumerate(old)
+        ]
 
 
 class TestGnpGenerator:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,39 @@ class TestProximityBlock:
             calls[0] = 0
             block(perm.reshape(1, n))
             assert calls[0] == pairs < n * n
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_contributions_equal_the_table_reference_bit_for_bit(self, directed):
+        # U(0, 1] weights on ~5 arcs per node: the gains of one arrival add
+        # to different bits in another order, so this pins ascending node id
+        n = 150
+        g = gen_gnp(n, 5 / (n - 1), seed=8, weighted=True, directed=directed)
+        spec = GameSpec.proximity(DecayFn.exponential())
+        table_block = reference_block(g, spec)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            perm = rng.permutation(n).tolist()
+            want = [0.0] * n
+            table_block(perm, want)
+            assert permutation_contributions(g, spec, perm) == want
+
+    def test_builds_no_all_pairs_table(self):
+        n = 2000
+        rng = np.random.default_rng(5)
+        # a ring with chords of stride 37: sparse, connected, no repeated pair
+        edges = [(v, (v + stride) % n, w) for stride in (1, 37)
+                 for v, w in enumerate((1.0 - rng.random(n)).tolist())]
+        g = Graph.build(n, edges, weighted=True)
+        perms = [rng.permutation(n).reshape(1, n) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            block, _ = montecarlo._build_block(g, GameSpec.proximity(DecayFn.exponential()))
+            for perm in perms:
+                block(perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20  # an (n, n) float64 table alone takes 32 MB
 
 
 class TestMcShapley:
