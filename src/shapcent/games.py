@@ -260,10 +260,12 @@ def cutoff_covers(g: Graph, cut: Sequence[float]) -> list[list[int]]:
     These are the nodes v covers in game g3. Each search is bounded at
     the largest cutoff, so it settles only the ball around v.
     """
-    limit = max(cut, default=0.0)
+    n = g.node_count
+    # below the next float up is at or below the largest cutoff
+    limit = math.nextafter(max(cut, default=0.0), INF)
     return [
-        [node for d, node in settle(g, src, "forward", limit)[1:] if d <= cut[node]]
-        for src in range(g.node_count)
+        [node for d, node in settle(g, src, "forward", [limit] * n)[1:] if d <= cut[node]]
+        for src in range(n)
     ]
 
 

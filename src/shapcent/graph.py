@@ -231,17 +231,19 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def settle(g: Graph, source: int, orientation: str = "forward", limit: float = INF,
-           bound: list[float] | None = None) -> list[tuple[float, int]]:
+def settle(
+    g: Graph, source: int, orientation: str = "forward", bound: list[float] | None = None
+) -> list[tuple[float, int]]:
     """Dijkstra from (forward) or to (reverse) source, below a per-node bound.
 
     Returns (distance, node) for every node u below bound[u], in settle
-    order: source first, then ascending (distance, node). bound, n
-    floats, is lowered in place to min(bound[u], distance); without it
-    every node's bound is the next float above limit. If bound[u] <=
-    bound[p] + w on each arc p -> u, as for a minimum of searches, the
-    result is the unbounded search's nodes below their bounds, bit for
-    bit. (A weight that vanishes when added can settle ties out of order.)
+    order: ascending (distance, node), so the source first; a source
+    whose bound is not above 0 yields []. bound, n floats (all infinite
+    when omitted), is lowered in place to min(bound[u], distance). If
+    bound[u] <= bound[p] + w on each arc p -> u, as for a minimum of
+    searches, the result is the unbounded search's nodes below their
+    bounds, bit for bit. (A weight that vanishes when added can settle
+    ties out of order.)
     """
     g._check_node(source)
     if orientation == "forward":
@@ -250,17 +252,18 @@ def settle(g: Graph, source: int, orientation: str = "forward", limit: float = I
         adj = g._in
     else:
         raise GraphError(f"unknown orientation {orientation!r}")
-    dist = [math.nextafter(limit, INF)] * g.node_count if bound is None else bound
+    dist = [INF] * g.node_count if bound is None else bound
     if not 0.0 < dist[source]:
         return []
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
     settled: list[tuple[float, int]] = []
     while heap:
-        d, u = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        d, u = entry
         if d > dist[u]:
             continue
-        settled.append((d, u))
+        settled.append(entry)
         for v, w in adj[u]:
             nd = d + w
             if nd < dist[v]:
@@ -270,11 +273,13 @@ def settle(g: Graph, source: int, orientation: str = "forward", limit: float = I
 
 
 def distance_matrix(g: Graph, orientation: str = "forward") -> np.ndarray:
-    """All-pairs (n, n) float64 array D[src, dst]: each row is an
-    all-infinite bound list that settle from src lowers; D[v, v] = 0,
-    unreachable = +inf."""
+    """All-pairs (n, n) float64 array D[src, dst]; D[v, v] = 0,
+    unreachable = +inf. Each row is an all-infinite bound list that
+    settle from src lowers, copied in as it is done."""
     n = g.node_count
-    rows = [[INF] * n for _ in range(n)]
-    for src, row in enumerate(rows):
-        settle(g, src, orientation, bound=row)
-    return np.array(rows, dtype=float).reshape(n, n)
+    mat = np.empty((n, n))
+    for src in range(n):
+        row = [INF] * n
+        settle(g, src, orientation, row)
+        mat[src] = row
+    return mat

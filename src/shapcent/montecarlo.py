@@ -11,12 +11,14 @@ distance from the coalition, lowered by one shortest-path search per
 arrival that queues only the nodes the arrival brings closer, and
 evaluates the decay only there. Each block's per-game state (covers, arc
 groups) is built once; that time is reported separately from the
-sampling clock.
+sampling clock. g4 has none: all its distance work runs in the searches,
+inside the sampling clock.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,6 +30,7 @@ from .games import GameSpec, cutoff_covers, grand_value, one_hop_covers
 from .graph import Graph, settle
 
 INF = math.inf
+_node = operator.itemgetter(1)  # the node of a (distance, node) pair
 
 # Element budget of one batch: permutations times the entries that each
 # needs in the block's widest array, as exact._ENUM_BLOCK bounds a g5 block.
@@ -177,16 +180,17 @@ def _proximity_block(g: Graph, spec: GameSpec) -> Block:
 
     def block(perms):
         (perm,) = perms
-        dist, fdist = [INF] * n, [0.0] * n
-        out = np.empty((1, n))
+        dist, fdist, gains = [INF] * n, [0.0] * n, [0.0] * n
         for v in perm.tolist():
+            closer = settle(g, v, "forward", dist)
+            closer.sort(key=_node)
             gain = 0.0
-            for u in sorted(u for _, u in settle(g, v, bound=dist)):
-                f_new = f(dist[u])
+            for d, u in closer:
+                f_new = f(d)
                 gain += f_new - fdist[u]
                 fdist[u] = f_new
-            out[0, v] = gain
-        return out
+            gains[v] = gain
+        return np.array([gains])
 
     return block
 

@@ -308,7 +308,9 @@ class TestSettle:
         full = settle(g, source, orientation)
         limits = [d for d, _ in full] + [data.draw(st.floats(0.0, 4.0))]
         for limit in limits:
-            bounded = settle(g, source, orientation, limit)
+            # a uniform bound just above limit keeps d <= limit
+            bound = [math.nextafter(limit, INF)] * g.node_count
+            bounded = settle(g, source, orientation, bound)
             # same pairs, same order, bit-identical distances
             assert bounded == [(d, v) for d, v in full if d <= limit]
             assert all(d <= limit for d, _ in bounded)
@@ -360,6 +362,13 @@ class TestSettle:
         assert [bits(b) for b in bound] == [
             bits(min(o, full.get(u, INF))) for u, o in enumerate(old)
         ]
+
+    @pytest.mark.parametrize("low", [0.0, -1.0, math.nan])
+    def test_source_bound_not_above_zero_settles_nothing(self, path3, low):
+        bound = [low, INF, INF]
+        assert settle(path3, 0, "forward", bound) == []
+        assert bound[1:] == [INF, INF]
+        assert settle(path3, 1, "forward", bound) == [(0.0, 1), (1.0, 2)]
 
 
 class TestGnpGenerator:
