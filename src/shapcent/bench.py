@@ -17,6 +17,9 @@ from .montecarlo import ConvergenceTrace, mc_shapley
 _Z95 = 1.959963984540054
 # every comparison run traces its error once per this many permutations
 ERROR_STRIDE = 5
+# Doubles in one draw of gen_gnp's stream (512 KB). A smaller draw takes the
+# pairs left untested plus one, the weight draw of a hit at the last pair.
+_DRAW_BLOCK = 1 << 16
 
 
 def gen_complete_weighted(n: int, seed: int) -> Graph:
@@ -37,22 +40,62 @@ def gen_complete_weighted(n: int, seed: int) -> Graph:
 def gen_gnp(
     n: int, p: float, seed: int, weighted: bool = False, directed: bool = False
 ) -> Graph:
-    """Erdos-Renyi G(n, p), optionally with U(0,1) weights; seeded."""
+    """Erdos-Renyi G(n, p), optionally with U(0,1) weights; seeded.
+
+    One stream, default_rng(seed), is read in this order: one test draw
+    per node pair, in row-major order (directed: every u != v; undirected:
+    u < v), and the pair is an edge when its draw is < p. On a weighted
+    graph each edge's weight is the draw right after its test, drawn again
+    while it is 0.0. The draws are taken _DRAW_BLOCK at a time; a block
+    holds the same doubles as that many single draws, so the blocking
+    never changes a graph.
+    """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    edges = []
-    for u in range(n):
-        for v in range(n) if directed else range(u + 1, n):
-            if directed and u == v:
-                continue
-            if rng.random() < p:
-                w = 1.0
-                if weighted:
-                    w = float(rng.random())
-                    while w <= 0.0:
-                        w = float(rng.random())
-                edges.append((u, v, w))
+    # a negative n has no pairs, and Graph.build rejects it
+    pairs = n * max(n - 1, 0) // (1 if directed else 2)
+    hits = []  # pair index of each edge, ascending
+    weights = []
+    tested = 0  # pairs whose test draw has been read
+    owed = False  # the last hit still waits for its weight draw
+    while tested < pairs or owed:
+        buf = rng.random(min(_DRAW_BLOCK, pairs - tested + 1))
+        if not weighted:  # every draw is a test: take the hits at once
+            hits += (tested + np.flatnonzero(buf[: pairs - tested] < p)).tolist()
+            tested += buf.size
+            continue
+        pos = 0  # first slot of buf not yet read
+        # slot -1 stands for a hit of the last block whose weight is owed
+        for c in ([-1] if owed else []) + np.flatnonzero(buf < p).tolist():
+            if c >= 0:
+                if c < pos:  # a weight draw, not a test
+                    continue
+                tested += c - pos
+                if tested >= pairs:
+                    break
+                hits.append(tested)
+                tested += 1
+                pos = c + 1
+            while pos < buf.size and buf[pos] == 0.0:
+                pos += 1
+            owed = pos == buf.size
+            if owed:
+                break
+            weights.append(float(buf[pos]))
+            pos += 1
+        else:
+            tested += buf.size - pos
+    hits = np.array(hits, dtype=np.int64)
+    if directed:
+        u, r = np.divmod(hits, n - 1)
+        v = r + (r >= u)
+    else:
+        rows = np.arange(n)
+        starts = rows * (n - 1) - rows * (rows - 1) // 2
+        u = np.searchsorted(starts, hits, side="right") - 1
+        v = u + 1 + hits - starts[u]
+    edges = zip(u.tolist(), v.tolist(), weights if weighted else [1.0] * hits.size)
     return Graph.build(n, edges, directed=directed, weighted=weighted)
 
 

@@ -143,9 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="seeded random graph generators")
     p.add_argument("kind", choices=["complete", "gnp"])
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("-p", type=float, help="edge probability (gnp)")
-    p.add_argument("--weighted", action="store_true")
-    p.add_argument("--directed", action="store_true")
+    p.add_argument("-p", type=float, help="edge probability (gnp only)")
+    p.add_argument("--weighted", action="store_true", help="complete is always weighted")
+    p.add_argument("--directed", action="store_true", help="gnp only")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--output", help="output path (default stdout)")
 
@@ -201,6 +201,8 @@ def _cmd_mc(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.kind == "complete":
+        if args.p is not None or args.directed:
+            raise ValueError("complete takes neither -p nor --directed: K_n joins every pair once")
         g = gen_complete_weighted(args.n, seed=args.seed)
     else:
         if args.p is None:

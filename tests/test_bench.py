@@ -2,11 +2,48 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from shapcent import bench, gen_complete_weighted, gen_gnp, run_comparison, solve
+from shapcent import Graph, bench, gen_complete_weighted, gen_gnp, run_comparison, solve
 from shapcent.bench import ERROR_STRIDE
 from shapcent.games import DecayFn, GameSpec
+from shapcent.graph import GraphError
+
+
+def gnp_reference(n, p, seed, weighted=False, directed=False):
+    """gen_gnp as one scalar draw per pair, the loop the block scan replaced."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for u in range(n):
+        for v in range(n) if directed else range(u + 1, n):
+            if directed and u == v:
+                continue
+            if rng.random() < p:
+                w = 1.0
+                if weighted:
+                    w = float(rng.random())
+                    while w <= 0.0:
+                        w = float(rng.random())
+                edges.append((u, v, w))
+    return Graph.build(n, edges, directed=directed, weighted=weighted)
+
+
+class ScriptedRng:
+    """Stands in for a numpy Generator: random() and random(size) serve
+    one list of doubles in order, as a real stream serves its draws."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.next = 0
+
+    def random(self, size=None):
+        start = self.next
+        self.next += 1 if size is None else size
+        assert self.next <= len(self.values), "script ran out"
+        if size is None:
+            return self.values[start]
+        return np.array(self.values[start:self.next])
 
 
 class TestGenerators:
@@ -32,6 +69,50 @@ class TestGenerators:
         pairs = {(u, v) for u, v, _ in g.edges}
         assert any((v, u) in pairs for u, v in pairs)
         assert all(u != v for u, v, _ in g.edges)
+
+    def test_gnp_negative_node_count(self):
+        with pytest.raises(GraphError, match="^negative node count: -3$"):
+            gen_gnp(-3, 0.5, seed=1)
+
+
+class TestGnpStream:
+    """gen_gnp reads its stream in blocks but makes the graphs of one
+    scalar draw per pair, bit for bit."""
+
+    BLOCKS = (bench._DRAW_BLOCK, 1, 2, 7)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("p", [1e-3, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 57, 300])
+    def test_matches_scalar_draws(self, monkeypatch, n, p, weighted, directed):
+        for seed in (1, 2, 3):
+            want = gnp_reference(n, p, seed, weighted=weighted, directed=directed).edges
+            # tiny blocks put hits and weight draws across block ends; at
+            # n = 300, where one pass at block 1 takes up to 2 s, seed 1 has them
+            for block in self.BLOCKS if n < 300 or seed == 1 else self.BLOCKS[:1]:
+                monkeypatch.setattr(bench, "_DRAW_BLOCK", block)
+                got = gen_gnp(n, p, seed, weighted=weighted, directed=directed)
+                assert got.edges == want, (seed, block)
+
+    def test_matches_scalar_draws_over_many_blocks(self):
+        n, p = 600, 0.05
+        assert n * (n - 1) > 5 * bench._DRAW_BLOCK
+        want = gnp_reference(n, p, seed=4, weighted=True, directed=True).edges
+        assert gen_gnp(n, p, seed=4, weighted=True, directed=True).edges == want
+
+    @pytest.mark.parametrize("block", [bench._DRAW_BLOCK, 1, 2, 3])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_zero_weight_is_drawn_again(self, monkeypatch, block, directed):
+        # a hit (0.1), two 0.0 weights then 0.25; a later hit (0.2) whose
+        # weight draw is 0.0 once; the rest misses (0.9)
+        values = [0.1, 0.0, 0.0, 0.25, 0.7, 0.2, 0.0, 0.5] + [0.9] * 64
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedRng(values))
+        monkeypatch.setattr(bench, "_DRAW_BLOCK", block)
+        want = gnp_reference(5, 0.5, seed=1, weighted=True, directed=directed).edges
+        got = gen_gnp(5, 0.5, seed=1, weighted=True, directed=directed).edges
+        assert got == want
+        assert [e[2] for e in got] == [0.25, 0.5]
 
 
 class TestRunComparison:

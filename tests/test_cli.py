@@ -190,6 +190,21 @@ class TestGenCommand:
         g = load_edge_list(out.read_text(), weighted=True)
         assert g.node_count == 5 and g.edge_count == 10
 
+    @pytest.mark.parametrize("flag", [["-p", "0.5"], ["--directed"]])
+    def test_complete_rejects_gnp_flags(self, flag, capsys):
+        assert main(["gen", "complete", "-n", "5", "--seed", "1", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("shapcent: error: complete takes neither")
+
+    def test_complete_accepts_weighted(self, capsys):
+        assert main(["gen", "complete", "-n", "5", "--seed", "1", "--weighted"]) == 0
+        assert capsys.readouterr().out.startswith("nodes 5\n")
+
+    def test_gnp_negative_node_count_exit_2(self, capsys):
+        assert main(["gen", "gnp", "-n", "-3", "-p", "0.5", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == "shapcent: error: negative node count: -3\n"
+
     def test_gen_is_deterministic(self, capsys):
         argv = ["gen", "gnp", "-n", "12", "-p", "0.3", "--seed", "4"]
         assert main(argv) == 0
