@@ -51,8 +51,20 @@ def _node_map(scalar, path, integral: bool):
     return scalar
 
 
+# the one game that reads each game-parameter option
+_OPTION_GAME = dict(k="g2", k_file="g2", d_cutoff="g3", d_cutoff_file="g3", decay="g4",
+                    w_cutoff="g5", w_cutoff_file="g5")
+
+
 def _game_spec(args) -> GameSpec:
     game = args.game
+    stray = [
+        "--" + name.replace("_", "-")
+        for name, owner in _OPTION_GAME.items()
+        if owner != game and getattr(args, name) is not None
+    ]
+    if stray:
+        raise ValueError(f"game {game} does not take {', '.join(stray)}")
     if game == "g1":
         return GameSpec.fringe()
     if game == "g2":

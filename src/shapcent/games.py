@@ -234,11 +234,14 @@ def _min_distances(
     g: Graph, members: set[int], ctx: Sequence[Sequence[float]] | None
 ) -> list[float]:
     """Per-node minimum forward distance from the coalition."""
-    best = [INF] * g.node_count
+    # n read once: once Graph.in_arcs or out_arcs is cached on g, each read
+    # of a field of g is slower, which cost the oracle's loop 6-7 %
+    n = g.node_count
+    best = [INF] * n
     for c in members:
         if ctx is not None:
             row = ctx[c]
-            for v in range(g.node_count):
+            for v in range(n):
                 if row[v] < best[v]:
                     best[v] = row[v]
         else:

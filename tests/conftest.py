@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from shapcent import Graph, gen_gnp
+from shapcent import Graph, gen_gnp, settle
 from shapcent.games import GameSpec, characteristic_value
 
 INF = math.inf
@@ -29,6 +30,37 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
                 if d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[i][k] + d[k][j]
     return d
+
+
+def settle_rows(g: Graph, orientation: str = "forward") -> np.ndarray:
+    """All-pairs distances as one all-infinite bound list per source,
+    lowered by settle: the reference for the block sweeps."""
+    n = g.node_count
+    mat = np.empty((n, n))
+    for src in range(n):
+        row = [INF] * n
+        settle(g, src, orientation, row)
+        mat[src] = row
+    return mat
+
+
+# Settings of the all-pairs sweeps under which no distance and no g4 score
+# may change: the defaults; blocks of a few sources and g4 passes of a few
+# targets; a cap of one sweep, so every block that a second sweep would
+# change takes settle rows.
+BLOCKINGS = {
+    "default": {},
+    "split": {"shapcent.graph._SWEEP_BLOCK": 20, "shapcent.exact._G4_ROWS": 3},
+    "settle": {"shapcent.graph._SWEEP_CAP": 0},
+}
+
+
+@contextmanager
+def blocking(name: str):
+    with pytest.MonkeyPatch.context() as mp:
+        for target, value in BLOCKINGS[name].items():
+            mp.setattr(target, value)
+        yield
 
 
 def permutation_shapley(g: Graph, spec: GameSpec) -> list[float]:

@@ -105,6 +105,30 @@ class TestErrorPaths:
                      "--input", str(bad)]) == 2
         assert "line 2: non-finite weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cmd, game_args, stray",
+        [
+            ("exact", ["--game", "g1", "--decay", "exp"], "--decay"),
+            ("exact", ["--game", "g4", "--decay", "exp", "--d-cutoff", "2"], "--d-cutoff"),
+            ("exact", ["--game", "g3", "--d-cutoff", "1", "--k", "2"], "--k"),
+            ("exact", ["--game", "g5", "--w-cutoff", "1", "--k-file", "k.csv"], "--k-file"),
+            ("exact", ["--game", "g2", "--k", "1", "--w-cutoff", "1"], "--w-cutoff"),
+            ("exact", ["--game", "g1", "--w-cutoff-file", "w.csv"], "--w-cutoff-file"),
+            ("exact", ["--game", "g2", "--k", "1", "--d-cutoff-file", "c.csv"],
+             "--d-cutoff-file"),
+            ("oracle", ["--game", "g5", "--w-cutoff", "1", "--decay", "exp"], "--decay"),
+            ("mc", ["--game", "g1", "--k", "1", "--iters", "5", "--seed", "1"], "--k"),
+            ("bench", ["--game", "g1", "--decay", "exp", "--thresholds", "0.5",
+                       "--iters", "5", "--seed", "1"], "--decay"),
+        ],
+    )
+    def test_parameter_of_another_game_exit_2(self, path3_file, capsys, cmd, game_args,
+                                              stray):
+        assert main([cmd, "--input", path3_file, *game_args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shapcent: error: game g")
+        assert f"does not take {stray}\n" in err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(
             ["exact", "--game", "g1", "--input", str(tmp_path / "nope.txt")]

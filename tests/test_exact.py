@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from shapcent import (
     GaussianMoment,
     Graph,
+    settle,
     ShapleyVector,
     distance_matrix,
     gaussian_interval_prob,
@@ -27,7 +29,14 @@ from shapcent.games import DecayFn, GameSpec, GameSpecError
 from shapcent.montecarlo import permutation_contributions
 from shapcent.oracle import brute_force_shapley
 
-from .conftest import random_small_graph, undirected_twins, unit_graphs
+from .conftest import (
+    BLOCKINGS,
+    blocking,
+    random_small_graph,
+    undirected_twins,
+    unit_graphs,
+    weighted_graphs,
+)
 
 INF = math.inf
 
@@ -192,6 +201,93 @@ class TestProximitySolver:
         got = shapley_g4(g, DecayFn.inv_linear()).scores
         assert got[0] == got[1] == got[2] == got[3]
         assert sum(got) == pytest.approx(4.0)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 60),
+        directed=st.booleans(),
+        weighted=st.booleans(),
+        c=st.sampled_from([0.3, 0.8, 1.0, 2.0]) | st.floats(0.05, 3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_step_decay_is_distance_cutoff(self, seed, n, directed, weighted, c):
+        # nu(C) counts the nodes within c of C in both games; the two
+        # solvers add their terms in different orders
+        g = gen_gnp(n, min(1.0, 4 / max(n - 1, 1)), seed=seed, weighted=weighted,
+                    directed=directed)
+        step = shapley_g4(g, DecayFn.step(c)).scores
+        cutoff = shapley_g3(g, c).scores
+        assert all(abs(a - b) <= 1e-12 * max(1.0, abs(b)) for a, b in zip(step, cutoff))
+
+
+def g4_reference(g: Graph, f) -> tuple[float, ...]:
+    """shapley_g4 as one settle row and one Python pass per target, adding
+    each contribution to its node as it goes: the reference the block
+    solver must match bit for bit."""
+    n = g.node_count
+    scores = [0.0] * n
+    for target in range(n):
+        row = settle(g, target, "reverse")  # row[0] is the target itself
+        acc = 0.0
+        prev_d: float | None = None
+        prev_sv = 0.0
+        for index in range(len(row) - 1, 0, -1):
+            d, node = row[index]
+            fd = f(d)
+            if prev_d is not None and d == prev_d:
+                curr = prev_sv
+            else:
+                curr = fd / (1.0 + index) - acc
+            scores[node] += curr
+            acc += fd / (index * (1.0 + index))
+            prev_d, prev_sv = d, curr
+        scores[target] += f(0.0) - acc
+    return tuple(scores)
+
+
+def _bits(xs) -> bytes:
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+# the four builtin decays and a custom one that reaches 0 at a finite distance
+_G4_DECAYS = [
+    DecayFn.inv_linear(),
+    DecayFn.inv_quadratic(),
+    DecayFn.exponential(),
+    DecayFn.step(1.0),
+    DecayFn.custom(lambda d: max(0.0, 1.0 - d / 3.0)),
+]
+
+
+class TestProximityBlocks:
+    @pytest.mark.parametrize("blocks", sorted(BLOCKINGS))
+    @given(
+        g=st.one_of(
+            st.just(Graph.build(0, [])),
+            unit_graphs(n_max=14),
+            weighted_graphs(n_max=14),
+            undirected_twins().flatmap(st.sampled_from),
+        ),
+        f=st.sampled_from(_G4_DECAYS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_settle_reference_bit_for_bit(self, blocks, g, f):
+        with blocking(blocks):
+            got = shapley_g4(g, f).scores
+        want = g4_reference(g, f)
+        assert got == want
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("blocks", sorted(BLOCKINGS))
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_larger_graphs_bit_for_bit(self, blocks, directed, weighted):
+        # G(150, 0.03) leaves some nodes isolated and some unreachable
+        g = gen_gnp(150, 0.03, seed=11, weighted=weighted, directed=directed)
+        for f in _G4_DECAYS:
+            with blocking(blocks):
+                got = shapley_g4(g, f).scores
+            assert _bits(got) == _bits(g4_reference(g, f))
 
 
 def _left_sum(values) -> float:

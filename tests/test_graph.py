@@ -20,8 +20,11 @@ from shapcent.bench import gen_gnp
 from shapcent.graph import data_lines
 
 from .conftest import (
+    BLOCKINGS,
+    blocking,
     floyd_warshall,
     random_small_graph,
+    settle_rows,
     tenth_hubs,
     undirected_twins,
     unit_graphs,
@@ -297,6 +300,61 @@ class TestShortestPaths:
             3, [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0)], weighted=True
         )
         assert distance_matrix(g)[0][1] == 2.0
+
+
+class TestDistanceBlocks:
+    @pytest.mark.parametrize("blocks", sorted(BLOCKINGS))
+    @given(
+        g=st.one_of(
+            st.just(Graph.build(0, [])),
+            unit_graphs(),
+            weighted_graphs(n_max=12),
+            undirected_twins().flatmap(st.sampled_from),
+            st.booleans().map(lambda directed: tenth_hubs(directed)[0]),
+        ),
+        orientation=st.sampled_from(["forward", "reverse"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_is_settle_rows_bit_for_bit(self, blocks, g, orientation):
+        with blocking(blocks):
+            got = distance_matrix(g, orientation)
+        want = settle_rows(g, orientation)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("blocks", sorted(BLOCKINGS))
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_larger_graphs_bit_for_bit(self, blocks, directed, weighted):
+        g = gen_gnp(150, 0.03, seed=7, weighted=weighted, directed=directed)
+        for orientation in ("forward", "reverse"):
+            with blocking(blocks):
+                got = distance_matrix(g, orientation)
+            assert got.tobytes() == settle_rows(g, orientation).tobytes()
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_deep_trees_take_settle_rows(self, monkeypatch, deep):
+        # a path needs a sweep per hop, past the cap; G(n, p) a few sweeps
+        if deep:
+            g = Graph.build(200, [(v, v + 1, 0.5 + v % 7 / 10) for v in range(199)],
+                            weighted=True)
+        else:
+            g = gen_gnp(200, 0.03, seed=3, weighted=True)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return settle(*args)
+
+        monkeypatch.setattr("shapcent.graph.settle", counted)
+        got = distance_matrix(g, "reverse")
+        assert calls == (list(range(200)) if deep else [])
+        monkeypatch.undo()
+        assert got.tobytes() == settle_rows(g, "reverse").tobytes()
+
+    def test_unknown_orientation(self, path3):
+        with pytest.raises(GraphError, match="unknown orientation"):
+            distance_matrix(path3, "sideways")
 
 
 class TestSettle:
