@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,6 +207,9 @@ def run_comparison(
     # the pool forks all its workers at its first submit
     workers = min(workers, runs)
     if workers > 1:
+        # imported here, so a process that runs no pool loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_one_mc_run, run_args))
     else:

@@ -17,7 +17,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .games import Decay, DecayFn, GameSpec, GameSpecError, cutoff_covers, one_hop_covers
+from .games import (
+    Decay,
+    DecayFn,
+    GameSpec,
+    GameSpecError,
+    cutoff_covers,
+    decay_values,
+    one_hop_covers,
+    step_threshold,
+)
 from .graph import Arcs, Graph, data_lines, distance_blocks
 
 INF = math.inf
@@ -164,17 +173,22 @@ def shapley_g4(g: Graph, f: Decay) -> ShapleyVector:
     """Exact Shapley values for the decay-weighted proximity game.
 
     Each target's pass takes the other nodes in ascending distance *to* it
-    (its row of the reverse distance_blocks, sorted stably) and accumulates
+    (its row of the reverse distance_blocks, sorted) and accumulates
     expected marginal contributions with a backward cumulative sum;
     equal-distance nodes share one value, so the order of ties changes no
     score. f first passes DecayFn.custom's probe check, so f(inf) = 0 and
-    the unreachable nodes, which add nothing, are skipped: f is called
-    once per reachable node of a pass. Passes run _G4_ROWS targets at a
-    time in numpy, in the arithmetic of a per-node loop (cumsum adds left
-    to right), and their contributions are added to the scores one target
-    at a time, in ascending target order, with 0.0 at the unreachable
-    nodes: a score starts at 0.0, so it is never -0.0, and adding 0.0
-    leaves its bits alone.
+    the unreachable nodes, which add nothing, are skipped. f is evaluated
+    once per distinct reachable distance of a row, at the last node of
+    each run of equal distances, and that value spreads over the run, so
+    a custom decay must be pure; the builtin decays take one array call
+    per pass (games.decay_values). For step(c) the sweeps stop once every
+    node within c holds its distance: past c, f is 0.0, and such nodes
+    add 0.0 in any order. Passes run _G4_ROWS targets at a time in numpy,
+    in the arithmetic of a per-node loop (cumsum adds left to right), and
+    their contributions are added to the scores one target at a time, in
+    ascending target order, with 0.0 at the unreachable nodes: a score
+    starts at 0.0, so it is never -0.0, and adding 0.0 leaves its bits
+    alone.
     """
     DecayFn.custom(f)
     n = g.node_count
@@ -183,27 +197,28 @@ def shapley_g4(g: Graph, f: Decay) -> ShapleyVector:
     pos1 = 1.0 + pos
     pos2 = pos * pos1
     scores = np.zeros(n)
-    for block in distance_blocks(g, "reverse"):
+    for block in distance_blocks(g, "reverse", step_threshold(f)):
         for first in range(0, len(block), _G4_ROWS):
             rows = block[first : first + _G4_ROWS]
             at = np.arange(len(rows))[:, None]
-            order = np.argsort(rows, axis=1, kind="stable")
+            order = np.argsort(rows, axis=1)  # the target, at 0.0, sorts first
             dist = rows[at, order[:, 1:]]
             reach = dist < INF
+            # a run of equal distances takes the values of its last position
+            last = np.ones(dist.shape, dtype=bool)
+            last[:, :-1] = dist[:, :-1] != dist[:, 1:]
+            cols = np.where(last, np.arange(n - 1), n)
+            end = np.minimum.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
             fd = np.zeros(dist.shape)
-            for d_row, fd_row, r in zip(dist, fd, reach.sum(axis=1).tolist()):
-                fd_row[:r] = [f(d) for d in d_row[:r].tolist()]  # inf sorts last
+            last &= reach  # the unreachable run, last, keeps f = 0.0
+            fd[last] = decay_values(f, dist[last])
+            fd = fd[at, end]
             # acc[:, p]: the sum, from 0.0, of the terms of positions n-1
             # down to p+1 (the acc that position p reads); acc[:, 0] is all
             acc = np.zeros(rows.shape)
             acc[:, 1:] = (fd / pos2)[:, ::-1]
             acc = np.cumsum(acc, axis=1)[:, ::-1]
             value = fd / pos1 - acc[:, 1:]
-            # a run of equal distances takes the value of its last position
-            last = np.ones(dist.shape, dtype=bool)
-            last[:, :-1] = dist[:, :-1] != dist[:, 1:]
-            cols = np.where(last, np.arange(n - 1), n)
-            end = np.minimum.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
             sorted_contrib = np.empty(rows.shape)
             sorted_contrib[:, 0] = f0 - acc[:, 0]
             sorted_contrib[:, 1:] = np.where(reach, value[at, end], 0.0)

@@ -51,6 +51,33 @@ def _step(d: float, c: float) -> float:
     return 1.0 if d <= c else 0.0
 
 
+def step_threshold(f: Decay) -> float:
+    """c when f is DecayFn.step(c) and c is a float or an int that a float
+    holds exactly, else +inf: the distance past which f is 0.0."""
+    if isinstance(f, functools.partial) and f.func is _step and not f.args:
+        c = f.keywords.get("c")
+        if isinstance(c, float) or (isinstance(c, int) and abs(c) <= 1 << 53):
+            return float(c)
+    return INF
+
+
+def decay_values(f: Decay, d: np.ndarray) -> np.ndarray:
+    """[f(x) for x in d] as an array, bit for bit: one numpy expression
+    for the builtin decays, which round as the scalar ones do, else one
+    map of f over d. exp stays math.exp, since np.exp rounds differently."""
+    if f is _inv_linear:
+        return 1.0 / (1.0 + d)
+    if f is _inv_quadratic:
+        with np.errstate(over="ignore"):  # d * d = inf gives 0.0, as in Python
+            return 1.0 / (1.0 + d * d)
+    if f is _exponential:
+        return np.fromiter(map(math.exp, (-d).tolist()), float, len(d))
+    c = step_threshold(f)
+    if c < INF:
+        return np.where(d <= c, 1.0, 0.0)
+    return np.fromiter(map(f, d.tolist()), float, len(d))
+
+
 class DecayFn:
     """Factories of g4 distance decays. Each returns a plain function
     d -> f(d) that passed `custom`'s probe check: finite, nonnegative,

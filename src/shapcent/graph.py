@@ -287,9 +287,12 @@ _SWEEP_CAP = 64
 _GROUP_COST = 4096
 
 
-def distance_blocks(g: Graph, orientation: str = "forward") -> Iterator[np.ndarray]:
+def distance_blocks(
+    g: Graph, orientation: str = "forward", limit: float = INF
+) -> Iterator[np.ndarray]:
     """The rows of distance_matrix, a (B, n) block of consecutive sources
-    at a time, sources ascending; settle's distances bit for bit.
+    at a time, sources ascending; settle's distances bit for bit at each
+    entry at or below limit, and above limit at every other entry.
 
     A block sweeps its B sources at once. dist (n, B) starts at +inf, with
     0.0 at each source; a sweep lowers dist[v] to the minimum of dist[v]
@@ -299,7 +302,12 @@ def distance_blocks(g: Graph, orientation: str = "forward") -> Iterator[np.ndarr
     a walk sum formed by settle's own d + w addition, and adding a positive
     weight never lowers a float, so the sweeps reach the least fixed point:
     the least walk sum to each node. settle's distances are a fixed point
-    and walk sums too, so they are the same floats.
+    and walk sums too, so they are the same floats. With a finite limit
+    (exact g4 passes the c of step(c)), sweeps stop when one lowers no
+    entry to limit or below. Each node within limit then holds its
+    distance, by induction along its shortest path, whose prefixes are
+    within limit too; every other entry is a walk sum, so at or above its
+    node's distance, which exceeds limit.
 
     A sweep costs about arcs * B element operations plus a fixed cost per
     group, and a block needs about as many sweeps as its shortest-path
@@ -339,7 +347,11 @@ def distance_blocks(g: Graph, orientation: str = "forward") -> Iterator[np.ndarr
                 cand += w
                 low = cand.min(axis=0)
                 old = dist[nodes]
-                changed = changed or bool((low < old).any())
+                if not changed:
+                    lower = low < old
+                    if limit < INF:
+                        lower &= low <= limit
+                    changed = bool(lower.any())
                 dist[nodes] = np.minimum(low, old, out=low)
             if not changed:
                 break

@@ -53,12 +53,23 @@ BLOCKINGS = {
     "split": {"shapcent.graph._SWEEP_BLOCK": 20, "shapcent.exact._G4_ROWS": 3},
     "settle": {"shapcent.graph._SWEEP_CAP": 0},
 }
+# More settings for the sweeps bounded by a limit, which the ones above would
+# mostly skip on a dozen-node graph by taking settle rows: with no per-group
+# cost in the cap's model, every block sweeps ("sweep") or sweeps at most
+# 1 + nodes / arcs times, so some blocks stop under the limit and the rest
+# take settle rows ("short").
+BOUNDED_BLOCKINGS = {
+    **BLOCKINGS,
+    "sweep": {"shapcent.graph._GROUP_COST": 0, "shapcent.graph._SWEEP_BLOCK": 5,
+              "shapcent.exact._G4_ROWS": 3},
+    "short": {"shapcent.graph._GROUP_COST": 0, "shapcent.graph._SWEEP_CAP": 1},
+}
 
 
 @contextmanager
 def blocking(name: str):
     with pytest.MonkeyPatch.context() as mp:
-        for target, value in BLOCKINGS[name].items():
+        for target, value in BOUNDED_BLOCKINGS[name].items():
             mp.setattr(target, value)
         yield
 

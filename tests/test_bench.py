@@ -198,7 +198,7 @@ class TestRunComparison:
             def map(self, fn, args):
                 return map(fn, args)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         g, spec = small_setup
         report, traces = run_comparison(g, spec, thresholds=[0.25], runs=runs, max_iter=50,
                                         base_seed=3, workers=100_000)

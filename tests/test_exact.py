@@ -5,6 +5,7 @@ import random
 import struct
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,14 +26,16 @@ from shapcent import (
 )
 from shapcent.bench import gen_complete_weighted, gen_gnp
 from shapcent.exact import read_scores
-from shapcent.games import DecayFn, GameSpec, GameSpecError
+from shapcent.games import _DECAY_PROBE, DecayFn, GameSpec, GameSpecError
 from shapcent.montecarlo import permutation_contributions
 from shapcent.oracle import brute_force_shapley
 
 from .conftest import (
     BLOCKINGS,
+    BOUNDED_BLOCKINGS,
     blocking,
     random_small_graph,
+    settle_rows,
     undirected_twins,
     unit_graphs,
     weighted_graphs,
@@ -288,6 +291,51 @@ class TestProximityBlocks:
             with blocking(blocks):
                 got = shapley_g4(g, f).scores
             assert _bits(got) == _bits(g4_reference(g, f))
+
+    @pytest.mark.parametrize("blocks", sorted(BOUNDED_BLOCKINGS))
+    @given(
+        g=st.one_of(
+            unit_graphs(n_max=14),
+            weighted_graphs(n_max=14),
+            undirected_twins().flatmap(st.sampled_from),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_step_bound_matches_settle_reference_bit_for_bit(self, blocks, g, data):
+        # the sweeps stop at c: c on a distance, below every weight, past
+        # every shortest path, or anywhere
+        dist = settle_rows(g, "reverse")
+        weights = [w for _, _, w in g.edges] or [1.0]
+        on = sorted(set(dist[np.isfinite(dist) & (dist > 0)].tolist())) or [1.0]
+        c = data.draw(st.sampled_from([*on, min(weights) / 2 or 5e-324, sum(weights) + 1.0])
+                      | st.floats(1e-3, 2 * on[-1] + 1.0))
+        with blocking(blocks):
+            got = shapley_g4(g, DecayFn.step(c)).scores
+        assert _bits(got) == _bits(g4_reference(g, DecayFn.step(c)))
+
+    @pytest.mark.parametrize("blocks", ["default", "split"])
+    def test_custom_decay_is_called_once_per_distinct_distance(self, blocks):
+        # unit weights: a row of 40 nodes holds a handful of distances, and
+        # some nodes reach no target
+        g = gen_gnp(40, 0.06, seed=5)
+        calls = []
+
+        def decay(d):
+            calls.append(d)
+            return 1.0 / (1.0 + d)
+
+        with blocking(blocks):
+            got = shapley_g4(g, decay).scores
+        probes = len(_DECAY_PROBE)
+        assert calls[: probes + 1] == [*_DECAY_PROBE, 0.0]  # the check, then f(0.0)
+        # per target, each distance at which a node other than it is reached
+        rows = settle_rows(g, "reverse")
+        assert not np.isfinite(rows).all()
+        want = [d for row in rows for d in set(row[np.isfinite(row) & (row > 0)].tolist())]
+        assert sorted(calls[probes + 1 :]) == sorted(want)
+        assert len(want) < g.node_count**2 / 4
+        assert _bits(got) == _bits(g4_reference(g, decay))
 
 
 def _left_sum(values) -> float:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from shapcent import Graph, characteristic_value, grand_value, load_node_params
 from shapcent.exact import shapley_g4
-from shapcent.games import DecayFn, GameSpec, GameSpecError
+from shapcent.games import DecayFn, GameSpec, GameSpecError, _step, decay_values, step_threshold
 from shapcent.graph import distance_matrix
 
 from .conftest import random_small_graph
@@ -77,6 +79,35 @@ class TestDecayFn:
             assert [spec.decay(d) for d in (0.0, 1.5, 2.0, INF)] == [
                 decay(d) for d in (0.0, 1.5, 2.0, INF)
             ]
+
+
+# distances at the edges of the float range: zero, subnormals, the least
+# normal, a square that overflows, and +inf
+_EDGE_DISTANCES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1e154, 1e308, INF]
+
+
+class TestDecayValues:
+    @pytest.mark.parametrize("f", [
+        DecayFn.inv_linear(), DecayFn.inv_quadratic(), DecayFn.exponential(),
+        DecayFn.step(0.8), DecayFn.step(3), DecayFn.step(1e308),
+        DecayFn.custom(lambda d: max(0.0, 1.0 - d / 3.0)),
+    ])
+    @given(d=st.lists(st.floats(0.0, 50.0) | st.floats(0.0, INF) | st.sampled_from(_EDGE_DISTANCES),
+                      max_size=40))
+    @settings(max_examples=30, deadline=None)
+    def test_array_forms_are_the_scalar_decays_bit_for_bit(self, f, d):
+        got = decay_values(f, np.array(d, dtype=float))
+        want = [f(x) for x in d]
+        assert struct.pack(f"<{len(d)}d", *got) == struct.pack(f"<{len(d)}d", *want)
+
+    def test_step_threshold_reads_c_of_a_step_only(self):
+        assert step_threshold(DecayFn.step(0.8)) == 0.8
+        assert step_threshold(DecayFn.step(3)) == 3.0
+        # an int a float does not hold, or a c of another type, keeps f scalar
+        assert step_threshold(DecayFn.step(10**400)) == INF
+        assert step_threshold(functools.partial(_step, c=np.float32(0.5))) == INF
+        assert step_threshold(DecayFn.exponential()) == INF
+        assert step_threshold(lambda d: 1.0 if d <= 1.0 else 0.0) == INF
 
 
 class TestGameSpec:

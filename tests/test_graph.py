@@ -17,10 +17,11 @@ from shapcent import (
     settle,
 )
 from shapcent.bench import gen_gnp
-from shapcent.graph import data_lines
+from shapcent.graph import data_lines, distance_blocks
 
 from .conftest import (
     BLOCKINGS,
+    BOUNDED_BLOCKINGS,
     blocking,
     floyd_warshall,
     random_small_graph,
@@ -355,6 +356,39 @@ class TestDistanceBlocks:
     def test_unknown_orientation(self, path3):
         with pytest.raises(GraphError, match="unknown orientation"):
             distance_matrix(path3, "sideways")
+
+    @pytest.mark.parametrize("blocks", sorted(BOUNDED_BLOCKINGS))
+    @given(
+        g=st.one_of(
+            unit_graphs(),
+            weighted_graphs(n_max=12),
+            undirected_twins().flatmap(st.sampled_from),
+        ),
+        orientation=st.sampled_from(["forward", "reverse"]),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_limit_keeps_every_entry_at_or_below_it(self, blocks, g, orientation, data):
+        want = settle_rows(g, orientation)
+        finite = sorted(set(want[np.isfinite(want)].tolist()))
+        # a limit on a distance (0.0 included), or anywhere up past every distance
+        limit = data.draw(st.sampled_from(finite) | st.floats(1e-3, 2 * finite[-1] + 1))
+        with blocking(blocks):
+            got = np.concatenate(list(distance_blocks(g, orientation, limit)))
+        within = want <= limit
+        assert got[within].tobytes() == want[within].tobytes()
+        assert (got[~within] > limit).all()
+
+    def test_limit_stops_the_sweeps_of_a_deep_tree(self, monkeypatch):
+        # unbounded, this path passes the cap and takes settle rows (above)
+        g = Graph.build(200, [(v, v + 1, 0.5 + v % 7 / 10) for v in range(199)],
+                        weighted=True)
+        monkeypatch.setattr("shapcent.graph.settle", None)  # no row may call it
+        got = np.concatenate(list(distance_blocks(g, "reverse", 2.0)))
+        monkeypatch.undo()
+        want = settle_rows(g, "reverse")
+        assert got[want <= 2.0].tobytes() == want[want <= 2.0].tobytes()
+        assert (got[want > 2.0] > 2.0).all()
 
 
 class TestSettle:
