@@ -5,9 +5,10 @@ All solvers are pure functions of immutable inputs. "Degree" means
 in-degree, the summation neighborhood is the set of out-neighbors
 (influence flows along the edge direction), and distance to a node is
 measured along the edges. An undirected graph is its symmetric directed
-twin, so the same rules cover it without a case of their own. g1-g3
-walk the graph's arc tuples; g5 reads its arc arrays (Graph.in_arcs,
-out_arcs), and g4 its all-pairs distances from graph.distance_blocks.
+twin, so the same rules cover it without a case of their own. g1 and
+g2 walk the graph's arc tuples; g5 reads its arc arrays (Graph.in_arcs,
+out_arcs), g3 its covers from graph.distance_blocks bounded at the
+largest cutoff, and g4 its all-pairs distances from the same blocks.
 """
 from __future__ import annotations
 
@@ -157,8 +158,9 @@ def shapley_g3(g: Graph, d_cutoff) -> ShapleyVector:
     """Exact Shapley values for the distance-cutoff game.
 
     d_cutoff is a uniform positive real or a per-node map; the cutoff of
-    the *covered* node decides membership. One Dijkstra search per node,
-    bounded at the largest cutoff, finds the nodes it covers.
+    the *covered* node decides membership. The covers come from the
+    forward distance blocks bounded at the largest cutoff
+    (games.cutoff_covers).
     """
     covers = cutoff_covers(g, GameSpec.cutoff(d_cutoff).d_cutoff_values(g))
     return ShapleyVector(_coverage(covers), game="g3", method="exact")
@@ -181,9 +183,10 @@ def shapley_g4(g: Graph, f: Decay) -> ShapleyVector:
     once per distinct reachable distance of a row, at the last node of
     each run of equal distances, and that value spreads over the run, so
     a custom decay must be pure; the builtin decays take one array call
-    per pass (games.decay_values). For step(c) the sweeps stop once every
-    node within c holds its distance: past c, f is 0.0, and such nodes
-    add 0.0 in any order. Passes run _G4_ROWS targets at a time in numpy,
+    per pass (games.decay_values). For step(c) the blocks are bounded at c:
+    every node within c holds its distance and every other entry is above
+    c, or +inf where the bounded search never reached it; past c, f is
+    0.0, and such nodes add 0.0 in any order. Passes run _G4_ROWS targets at a time in numpy,
     in the arithmetic of a per-node loop (cumsum adds left to right), and
     their contributions are added to the scores one target at a time, in
     ascending target order, with 0.0 at the unreachable nodes: a score

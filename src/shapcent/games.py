@@ -19,7 +19,7 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Graph, data_lines, settle
+from .graph import Graph, data_lines, distance_blocks, settle
 
 GAME_TAGS = ("g1", "g2", "g3", "g4", "g5")
 
@@ -285,18 +285,25 @@ def one_hop_covers(g: Graph) -> list[tuple[int, ...]]:
 
 
 def cutoff_covers(g: Graph, cut: Sequence[float]) -> list[list[int]]:
-    """For each node v, the other nodes u with distance(v, u) <= cut[u].
+    """For each node v, the other nodes u with distance(v, u) <= cut[u],
+    in node-id order.
 
-    These are the nodes v covers in game g3. Each search is bounded at
-    the largest cutoff, so it settles only the ball around v.
+    These are the nodes v covers in game g3. They come from the forward
+    distance_blocks bounded at the largest cutoff, whose entries are exact
+    at or below it and above it everywhere else.
     """
-    n = g.node_count
-    # below the next float up is at or below the largest cutoff
-    limit = math.nextafter(max(cut, default=0.0), INF)
-    return [
-        [node for d, node in settle(g, src, "forward", [limit] * n)[1:] if d <= cut[node]]
-        for src in range(n)
-    ]
+    cut = np.asarray(cut, dtype=float)
+    # one int object per node, shared by every list that holds it: a fresh
+    # int per entry (ndarray.tolist) cost 28 bytes for each of the n * ball
+    # entries, 1.3 MB on a 500-node graph with balls of 94
+    ids = np.arange(len(cut)).astype(object)
+    covers: list[list[int]] = []
+    for rows in distance_blocks(g, "forward", cut.max(initial=0.0)):
+        within = rows <= cut
+        at = np.arange(len(rows))
+        within[at, len(covers) + at] = False  # each source's own entry
+        covers += [ids[row].tolist() for row in within]
+    return covers
 
 
 def characteristic_value(

@@ -273,7 +273,7 @@ def settle(
 
 
 # Element budget of one block's (nodes, sources) distance array: a block
-# sweeps max(1, _SWEEP_BLOCK // n) sources at once (65 at n = 500).
+# holds max(1, _SWEEP_BLOCK // n) sources at once (65 at n = 500).
 _SWEEP_BLOCK = 1 << 15
 # The sweep cap's cost model, in (arc, source) elements of a sweep: a
 # node or arc settled in Python costs _SWEEP_CAP of them, and each
@@ -285,6 +285,55 @@ _SWEEP_BLOCK = 1 << 15
 # rows after 45-110 sweeps at n >= 200, and after under 2 at n = 12.
 _SWEEP_CAP = 64
 _GROUP_COST = 4096
+# A frontier round gathers, filters and sorts each (arc, source)
+# candidate, which the model counts as _FRONTIER_COST sweep elements: a
+# bounded block switches to sweeps once a round's candidates times
+# _FRONTIER_COST exceed one sweep's modeled cost. Measured as for the
+# cap, on a weighted G(500) (g3 at cutoffs 0.5, 1.0 and 2.0, balls of 11,
+# 94 and 455 nodes; g4 step:50, where the ball is the graph) and a
+# weighted 1,000-node path at step:50: 8 ran as fast as the better of a
+# frontier to the end (2.2x slower at cutoff 2.0 and step:50) and sweeps
+# after the first round (up to 6x slower on the path); 4 lost at cutoff
+# 2.0, and 16 ran as 8 did.
+_FRONTIER_COST = 8
+
+
+def _relax_frontier(
+    dist: np.ndarray, arcs: Arcs, limit: float, nodes: np.ndarray, cols: np.ndarray,
+    sweep: float,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Relax dist (n, B) in place along arcs out of the frontier, the
+    entries (nodes, cols) that the last round lowered. A candidate above
+    limit, or not below its entry, is dropped; each entry takes the
+    minimum of the rest. Returns None once a round lowers nothing, or the
+    frontier of a round after the first whose candidates, times
+    _FRONTIER_COST, would exceed sweep."""
+    width = dist.shape[1]
+    flat = dist.reshape(-1)  # entry (v, j) is flat[v * width + j]
+    first = True
+    while True:
+        start = arcs.ptr[nodes]
+        deg = arcs.ptr[nodes + 1] - start
+        total = int(deg.sum())
+        if _FRONTIER_COST * total > sweep and not first:
+            return nodes, cols
+        first = False
+        # the arcs of each entry in listing order, entry after entry
+        pos = np.repeat(start - (np.cumsum(deg) - deg), deg) + np.arange(total)
+        cand = np.repeat(flat[nodes * width + cols], deg) + arcs.weights[pos]
+        key = arcs.ids[pos] * width + np.repeat(cols, deg)
+        keep = cand <= limit
+        keep &= cand < flat[key]
+        key, cand = key[keep], cand[keep]
+        if not len(key):
+            return None
+        # the minimum is exact, so the order within a key does not matter
+        order = np.argsort(key)
+        key, cand = key[order], cand[order]
+        head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        key = key[head]
+        flat[key] = np.minimum.reduceat(cand, head)
+        nodes, cols = np.divmod(key, width)
 
 
 def distance_blocks(
@@ -294,27 +343,35 @@ def distance_blocks(
     at a time, sources ascending; settle's distances bit for bit at each
     entry at or below limit, and above limit at every other entry.
 
-    A block sweeps its B sources at once. dist (n, B) starts at +inf, with
-    0.0 at each source; a sweep lowers dist[v] to the minimum of dist[v]
-    and dist[p] + w over the arcs p -> v (reverse: the arcs v -> p), one
-    in-degree group of nodes at a time and in place, so a group sees the
-    groups before it. Sweeps stop when one changes nothing. Every entry is
-    a walk sum formed by settle's own d + w addition, and adding a positive
-    weight never lowers a float, so the sweeps reach the least fixed point:
-    the least walk sum to each node. settle's distances are a fixed point
-    and walk sums too, so they are the same floats. With a finite limit
-    (exact g4 passes the c of step(c)), sweeps stop when one lowers no
-    entry to limit or below. Each node within limit then holds its
-    distance, by induction along its shortest path, whose prefixes are
-    within limit too; every other entry is a walk sum, so at or above its
-    node's distance, which exceeds limit.
+    A block relaxes its B sources at once in dist (n, B), which starts at
+    +inf with 0.0 at each source. A sweep lowers dist[v] to the minimum of
+    dist[v] and dist[p] + w over the arcs p -> v (reverse: the arcs
+    v -> p), one in-degree group of nodes at a time and in place, so a
+    group sees the groups before it. Sweeps stop when one changes nothing.
+    Every entry is a walk sum formed by settle's own d + w addition, and
+    adding a positive weight never lowers a float, so the sweeps reach the
+    least fixed point: the least walk sum to each node. settle's distances
+    are a fixed point and walk sums too, so they are the same floats.
+
+    With a finite limit (g3's largest cutoff, the c of g4's step(c)) a
+    block starts as a frontier: each round relaxes only the arcs out of
+    the entries that the last round lowered (reverse: the arcs into them),
+    drops candidates above limit, and reduces each entry's candidates to
+    their minimum. Once a round would hold more candidates than a sweep
+    costs, by _FRONTIER_COST, the block finishes with sweeps from where
+    the frontier left it, and they stop when one lowers no entry to limit
+    or below. Relaxation order does not change the least fixed point, so
+    each node within limit then holds its distance, by induction along
+    its shortest path, whose prefixes are within limit too; every other
+    entry is a walk sum above limit, or +inf.
 
     A sweep costs about arcs * B element operations plus a fixed cost per
     group, and a block needs about as many sweeps as its shortest-path
     trees are deep in hops, plus one: a handful on a small-world graph, n
     on a path. A block still changing after as many sweeps as its settle
     rows would cost, by the model above, and every later block take
-    settle rows instead; on a graph of a dozen nodes that is every block.
+    settle rows instead; on a graph of a dozen nodes that is every
+    unbounded block, while a bounded one stays a frontier to the end.
     """
     if orientation == "forward":
         arcs = g.in_arcs
@@ -330,33 +387,25 @@ def distance_blocks(
     cap = int(_SWEEP_CAP * width * (n + m) / sweep) if sweep else 1
     # one sweep converges only where no source has an arc
     sweeping = cap > 1
+    # a frontier relaxes the arcs that a sweep gathers, listed the other way
+    spread = (g.out_arcs if orientation == "forward" else g.in_arcs) if limit < INF else None
+    # with sweeps off, a frontier runs to the end
+    wide = sweep if sweeping else INF
     # a group's arcs as (d, k) columns, so the minimum runs over the outer axis
     groups = [
         (nodes, ids.T.copy(), w.T[:, :, None].copy())
         for nodes, _, ids, w in (arcs.by_degree(np.arange(n)) if sweeping else ())
     ]
     first = 0
-    while first < n and sweeping:
+    while first < n and (sweeping or spread is not None):
         sources = np.arange(first, min(first + width, n))
+        cols = np.arange(len(sources))
         dist = np.full((n, len(sources)), INF)
-        dist[sources, np.arange(len(sources))] = 0.0
-        for _ in range(cap):
-            changed = False
-            for nodes, ids, w in groups:
-                cand = dist[ids]
-                cand += w
-                low = cand.min(axis=0)
-                old = dist[nodes]
-                if not changed:
-                    lower = low < old
-                    if limit < INF:
-                        lower &= low <= limit
-                    changed = bool(lower.any())
-                dist[nodes] = np.minimum(low, old, out=low)
-            if not changed:
+        dist[sources, cols] = 0.0
+        # sweeps when unbounded, or once the frontier grew wide
+        if spread is None or _relax_frontier(dist, spread, limit, sources, cols, wide):
+            if not _sweep(dist, groups, cap, limit):
                 break
-        else:  # still changing at the cap
-            break
         yield dist.T
         first += len(sources)
     for start in range(first, n, width):
@@ -366,6 +415,28 @@ def distance_blocks(
             settle(g, start + j, orientation, row)
             rows[j] = row
         yield rows
+
+
+def _sweep(dist: np.ndarray, groups: list, cap: int, limit: float) -> bool:
+    """Sweep dist (n, B) in place over the in-degree groups, at most cap
+    times, until a sweep lowers no entry to limit or below; False if the
+    last sweep still did."""
+    for _ in range(cap):
+        changed = False
+        for nodes, ids, w in groups:
+            cand = dist[ids]
+            cand += w
+            low = cand.min(axis=0)
+            old = dist[nodes]
+            if not changed:
+                lower = low < old
+                if limit < INF:
+                    lower &= low <= limit
+                changed = bool(lower.any())
+            dist[nodes] = np.minimum(low, old, out=low)
+        if not changed:
+            return True
+    return False
 
 
 def distance_matrix(g: Graph, orientation: str = "forward") -> np.ndarray:

@@ -44,6 +44,18 @@ def settle_rows(g: Graph, orientation: str = "forward") -> np.ndarray:
     return mat
 
 
+def settle_covers(g: Graph, cut) -> list[list[int]]:
+    """games.cutoff_covers from one settle per node, bounded just above the
+    largest cutoff, in distance order: the reference for the covers that
+    come from the bounded distance blocks."""
+    n = g.node_count
+    limit = math.nextafter(max(cut, default=0.0), INF)
+    return [
+        [node for d, node in settle(g, src, "forward", [limit] * n)[1:] if d <= cut[node]]
+        for src in range(n)
+    ]
+
+
 # Settings of the all-pairs sweeps under which no distance and no g4 score
 # may change: the defaults; blocks of a few sources and g4 passes of a few
 # targets; a cap of one sweep, so every block that a second sweep would
@@ -53,16 +65,22 @@ BLOCKINGS = {
     "split": {"shapcent.graph._SWEEP_BLOCK": 20, "shapcent.exact._G4_ROWS": 3},
     "settle": {"shapcent.graph._SWEEP_CAP": 0},
 }
-# More settings for the sweeps bounded by a limit, which the ones above would
-# mostly skip on a dozen-node graph by taking settle rows: with no per-group
-# cost in the cap's model, every block sweeps ("sweep") or sweeps at most
-# 1 + nodes / arcs times, so some blocks stop under the limit and the rest
-# take settle rows ("short").
+# More settings for the blocks bounded by a limit, which start as a frontier
+# and switch to sweeps once a round grows wide. Without a per-group cost in
+# the cap's model, sweeps stay on on a dozen-node graph, so: narrow blocks
+# ("sweep"); every block switching after its first round and sweeping at
+# most 1 + nodes / arcs times, so some blocks stop under the limit and the
+# rest take settle rows ("short"); every block switching after its first
+# round and sweeping to the end ("switch"); no block ever switching
+# ("frontier").
 BOUNDED_BLOCKINGS = {
     **BLOCKINGS,
     "sweep": {"shapcent.graph._GROUP_COST": 0, "shapcent.graph._SWEEP_BLOCK": 5,
               "shapcent.exact._G4_ROWS": 3},
-    "short": {"shapcent.graph._GROUP_COST": 0, "shapcent.graph._SWEEP_CAP": 1},
+    "short": {"shapcent.graph._GROUP_COST": 0, "shapcent.graph._SWEEP_CAP": 1,
+              "shapcent.graph._FRONTIER_COST": INF},
+    "switch": {"shapcent.graph._GROUP_COST": 0, "shapcent.graph._FRONTIER_COST": INF},
+    "frontier": {"shapcent.graph._GROUP_COST": 0, "shapcent.graph._FRONTIER_COST": 0},
 }
 
 

@@ -25,8 +25,8 @@ from shapcent import (
     solve,
 )
 from shapcent.bench import gen_complete_weighted, gen_gnp
-from shapcent.exact import read_scores
-from shapcent.games import _DECAY_PROBE, DecayFn, GameSpec, GameSpecError
+from shapcent.exact import _coverage, read_scores
+from shapcent.games import _DECAY_PROBE, DecayFn, GameSpec, GameSpecError, cutoff_covers
 from shapcent.montecarlo import permutation_contributions
 from shapcent.oracle import brute_force_shapley
 
@@ -35,6 +35,7 @@ from .conftest import (
     BOUNDED_BLOCKINGS,
     blocking,
     random_small_graph,
+    settle_covers,
     settle_rows,
     undirected_twins,
     unit_graphs,
@@ -169,6 +170,31 @@ class TestCutoffSolver:
                 for v in range(n)]
         got = shapley_g3(g, cut).scores
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+    @pytest.mark.parametrize("blocks", sorted(BOUNDED_BLOCKINGS))
+    @given(
+        g=st.one_of(
+            unit_graphs(),
+            weighted_graphs(n_max=12),
+            undirected_twins().flatmap(st.sampled_from),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_covers_match_settle_covers(self, blocks, g, data):
+        # per-node cutoffs on a distance or anywhere, or all past every distance
+        n = g.node_count
+        dist = settle_rows(g)
+        on = sorted(set(dist[np.isfinite(dist) & (dist > 0)].tolist())) or [1.0]
+        past = [sum(w for _, _, w in g.edges) + 1.0] * n
+        cutoff = st.sampled_from(on) | st.floats(1e-3, 2 * on[-1] + 1.0)
+        cut = data.draw(st.lists(cutoff, min_size=n, max_size=n) | st.just(past))
+        with blocking(blocks):
+            covers = cutoff_covers(g, cut)
+            got = shapley_g3(g, dict(enumerate(cut))).scores
+        want = settle_covers(g, cut)
+        assert covers == [sorted(cov) for cov in want]
+        assert _bits(got) == _bits(_coverage(want))
 
 
 class TestCoverageReductions:
@@ -313,6 +339,35 @@ class TestProximityBlocks:
         with blocking(blocks):
             got = shapley_g4(g, DecayFn.step(c)).scores
         assert _bits(got) == _bits(g4_reference(g, DecayFn.step(c)))
+
+    @pytest.mark.parametrize("blocks", sorted(BOUNDED_BLOCKINGS))
+    @pytest.mark.parametrize("weights", ["unit", "integer"])
+    def test_step_on_a_distance_matches_settle_reference(self, blocks, weights):
+        # every c lands on a distance, which a candidate exactly at c must
+        # still reach
+        g = gen_gnp(40, 0.08, seed=4, directed=True)
+        if weights == "integer":
+            g = Graph.build(40, [(u, v, float(1 + (u + v) % 3)) for u, v, _ in g.edges],
+                            directed=True, weighted=True)
+        dist = settle_rows(g, "reverse")
+        for c in sorted(set(dist[np.isfinite(dist) & (dist > 0)].tolist())):
+            with blocking(blocks):
+                got = shapley_g4(g, DecayFn.step(c)).scores
+            assert _bits(got) == _bits(g4_reference(g, DecayFn.step(c)))
+
+    def test_step_on_a_deep_path_stays_a_frontier(self, monkeypatch):
+        # each 50-ball of this path spans about 60 hops, so sweeps would run
+        # about 60 times per block; the frontier relaxes only the balls' arcs
+        g = Graph.build(1000, [(v, v + 1, 0.5 + v % 7 / 10) for v in range(999)],
+                        weighted=True)
+        f = DecayFn.step(50.0)
+        monkeypatch.setattr("shapcent.graph.settle", None)  # no settle row
+        monkeypatch.setattr("shapcent.graph._sweep", None)  # and no sweep
+        got = shapley_g4(g, f).scores
+        covers = cutoff_covers(g, [50.0] * 1000)
+        monkeypatch.undo()
+        assert _bits(got) == _bits(g4_reference(g, f))
+        assert covers == [sorted(cov) for cov in settle_covers(g, [50.0] * 1000)]
 
     @pytest.mark.parametrize("blocks", ["default", "split"])
     def test_custom_decay_is_called_once_per_distinct_distance(self, blocks):

@@ -379,8 +379,27 @@ class TestDistanceBlocks:
         assert got[within].tobytes() == want[within].tobytes()
         assert (got[~within] > limit).all()
 
+    @pytest.mark.parametrize("blocks", sorted(BOUNDED_BLOCKINGS))
+    @pytest.mark.parametrize("weights", ["unit", "integer"])
+    def test_limit_on_a_distance_keeps_it(self, blocks, weights):
+        # every limit lands on a distance, which a candidate exactly at the
+        # limit must still reach
+        g = gen_gnp(60, 0.06, seed=2, directed=True)
+        if weights == "integer":
+            g = Graph.build(60, [(u, v, float(1 + (u + v) % 3)) for u, v, _ in g.edges],
+                            directed=True, weighted=True)
+        for orientation in ("forward", "reverse"):
+            want = settle_rows(g, orientation)
+            for limit in sorted(set(want[np.isfinite(want)].tolist())):
+                with blocking(blocks):
+                    got = np.concatenate(list(distance_blocks(g, orientation, limit)))
+                within = want <= limit
+                assert got[within].tobytes() == want[within].tobytes()
+                assert (got[~within] > limit).all()
+
     def test_limit_stops_the_sweeps_of_a_deep_tree(self, monkeypatch):
-        # unbounded, this path passes the cap and takes settle rows (above)
+        # unbounded, this path passes the cap and takes settle rows (above);
+        # bounded, each block stays a frontier over its small balls
         g = Graph.build(200, [(v, v + 1, 0.5 + v % 7 / 10) for v in range(199)],
                         weighted=True)
         monkeypatch.setattr("shapcent.graph.settle", None)  # no row may call it

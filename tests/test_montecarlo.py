@@ -14,14 +14,13 @@ from shapcent.games import (
     DecayFn,
     GameSpec,
     characteristic_value,
-    cutoff_covers,
     grand_value,
     one_hop_covers,
 )
 from shapcent.graph import distance_matrix
 from shapcent.montecarlo import ConvergenceTrace, permutation_contributions
 
-from .conftest import random_small_graph, tenth_hubs, unit_graphs
+from .conftest import random_small_graph, settle_covers, tenth_hubs, unit_graphs
 
 INF = math.inf
 
@@ -36,7 +35,7 @@ def reference_block(g: Graph, spec: GameSpec):
 
     if game in ("g1", "g3"):
         # g1 is the coverage game of g3 over the one-hop covers
-        covers = one_hop_covers(g) if game == "g1" else cutoff_covers(g, spec.d_cutoff_values(g))
+        covers = one_hop_covers(g) if game == "g1" else settle_covers(g, spec.d_cutoff_values(g))
         stamp = [0] * n
         epoch = [0]
 
