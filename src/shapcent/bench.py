@@ -94,8 +94,8 @@ def gen_gnp(
         starts = rows * (n - 1) - rows * (rows - 1) // 2
         u = np.searchsorted(starts, hits, side="right") - 1
         v = u + 1 + hits - starts[u]
-    edges = zip(u.tolist(), v.tolist(), weights if weighted else [1.0] * hits.size)
-    return Graph.build(n, edges, directed=directed, weighted=weighted)
+    w = np.array(weights) if weighted else np.ones(hits.size)
+    return Graph.build(n, (u, v, w), directed=directed, weighted=weighted)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ in-degree, the summation neighborhood is the set of out-neighbors
 (influence flows along the edge direction), and distance to a node is
 measured along the edges. An undirected graph is its symmetric directed
 twin, so the same rules cover it without a case of their own. g1 and
-g2 walk the graph's arc tuples; g5 reads its arc arrays (Graph.in_arcs,
-out_arcs), g3 its covers from graph.distance_blocks bounded at the
-largest cutoff, and g4 its all-pairs distances from the same blocks.
+g2 read their covers from the graph's arc arrays (Graph.out_arcs), as g5
+reads both listings, g3 its covers from graph.distance_blocks bounded at
+the largest cutoff, and g4 its all-pairs distances from the same blocks.
 """
 from __future__ import annotations
 

@@ -182,7 +182,7 @@ class GameSpec:
     def k_values(self, g: Graph) -> list[int]:
         """Per-node k, range-checked against 1 <= k(v) <= 1 + deg(v),
         deg(v) being the in-degree."""
-        return self._k_for_degrees([len(adj) for adj in g._in])
+        return self._k_for_degrees(np.diff(g.in_arcs.ptr).tolist())
 
     def _k_for_degrees(self, deg: Sequence[int]) -> list[int]:
         """Per-node k, range-checked against the given in-degrees."""
@@ -261,8 +261,6 @@ def _min_distances(
     g: Graph, members: set[int], ctx: Sequence[Sequence[float]] | None
 ) -> list[float]:
     """Per-node minimum forward distance from the coalition."""
-    # n read once: once Graph.in_arcs or out_arcs is cached on g, each read
-    # of a field of g is slower, which cost the oracle's loop 6-7 %
     n = g.node_count
     best = [INF] * n
     for c in members:
@@ -276,12 +274,12 @@ def _min_distances(
     return best
 
 
-def one_hop_covers(g: Graph) -> list[tuple[int, ...]]:
+def one_hop_covers(g: Graph) -> list[list[int]]:
     """For each node v, its out-neighbor ids: the nodes v covers in game
     g1 and counts toward in game g2. The number of nodes that cover u is
     u's in-degree, which on an undirected graph is its degree."""
-    # zip(*adj) splits the (id, weight) pairs into an id and a weight tuple
-    return [next(zip(*adj), ()) for adj in g._out]
+    ids, ptr = g.out_arcs.ids.tolist(), g.out_arcs.ptr.tolist()
+    return [ids[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
 def cutoff_covers(g: Graph, cut: Sequence[float]) -> list[list[int]]:
@@ -326,7 +324,7 @@ def _value_fn(g: Graph, spec: GameSpec, ctx=None) -> Callable[[set[int]], float]
     """The game's characteristic function on a checked, nonempty member set.
     It broadcasts and checks the per-node parameters once, so a caller that
     evaluates many coalitions (the brute-force oracle) checks them once."""
-    n, out = g.node_count, g._out
+    n, out = g.node_count, g.arc_tuples("forward")
     # nested lists: the naive loops read Python floats faster than array scalars
     ctx = None if ctx is None else np.asarray(ctx, dtype=float).tolist()
 

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -34,11 +34,14 @@ class Arcs(NamedTuple):
     weights: np.ndarray
 
     @staticmethod
-    def of(adj: tuple[tuple[tuple[int, float], ...], ...]) -> "Arcs":
-        ptr = np.cumsum([0] + [len(a) for a in adj])
-        # the (id, weight) pairs in one stream; an id is exact as a float64
-        flat = np.fromiter((x for a in adj for arc in a for x in arc), float, 2 * int(ptr[-1]))
-        return Arcs(ptr, flat[0::2].astype(np.int64), flat[1::2].copy())
+    def of(owner: np.ndarray, far: np.ndarray, weights: np.ndarray, n: int) -> "Arcs":
+        """The arcs owner[i] -> far[i] of n nodes, each listed at its owner
+        in the given order."""
+        # numpy sorts an unsigned type of up to 16 bits stably by radix
+        order = np.argsort(owner.astype(np.min_scalar_type(n)), kind="stable")
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=n), out=ptr[1:])
+        return Arcs(ptr, far[order], weights[order])
 
     def by_degree(self, nodes: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
         """Groups of the given nodes with d >= 1 arcs, by ascending d, in the
@@ -50,73 +53,115 @@ class Arcs(NamedTuple):
             yield group, pos, self.ids[pos], self.weights[pos]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple weighted/unweighted graph over dense 0-based node ids.
 
     Immutable after construction; all queries are pure and safe to call
-    from any number of workers. The arc tuples (out_neighbors,
-    in_neighbors) and the arc arrays (out_arcs, in_arcs, each built on
-    first use and kept) list the same arcs in the same order.
+    from any number of workers. Edge i is src[i] -> dst[i] of weight
+    weight[i], in input order. out_arcs and in_arcs list each node's arcs
+    in edge order; arc_tuples lists the same arcs as Python tuples.
     """
 
     node_count: int
     directed: bool
     weighted: bool
-    edges: tuple[tuple[int, int, float], ...]
-    _out: tuple[tuple[tuple[int, float], ...], ...]
-    _in: tuple[tuple[tuple[int, float], ...], ...]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    out_arcs: Arcs
+    in_arcs: Arcs
+    # arc_tuples' listings by the id of their Arcs, each built on first use.
+    # They go in this dict, not on the instance: under CPython 3.11 an
+    # attribute added after __init__ slows every later field read.
+    _tuples: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def build(
         node_count: int,
-        edges: Iterable[tuple[int, int, float]],
+        edges: Iterable[tuple[int, int, float]] | tuple[np.ndarray, np.ndarray, np.ndarray],
         *,
         directed: bool = False,
         weighted: bool = False,
     ) -> "Graph":
         """Check the edges and list each node's out- and in-arcs in edge order.
 
-        An undirected edge is the arc pair u->v, v->u, so an undirected
-        graph is its symmetric directed twin. Its in- and out-listings
-        agree entry for entry and are one shared adjacency:
-        in_neighbors(v) is out_neighbors(v), and in_arcs is out_arcs.
+        edges is an iterable of (u, v, w) triples or a (src, dst, weight)
+        tuple of arrays. The first edge that fails a check, in the order
+        node range, weight, self-loop, duplicate, raises GraphError with
+        its position. An undirected edge is the arc pair u->v, v->u, so an
+        undirected graph is its symmetric directed twin. Its in- and
+        out-listings agree entry for entry and are one shared adjacency:
+        in_arcs is out_arcs.
         """
-        if node_count < 0:
-            raise GraphError(f"negative node count: {node_count}")
-        edge_list: list[tuple[int, int, float]] = []
-        seen: set[tuple[int, int]] = set()
-        out: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
-        inc: list[list[tuple[int, float]]] = [[] for _ in range(node_count)] if directed else out
-        for i, (u, v, w) in enumerate(edges):
-            if not (0 <= u < node_count and 0 <= v < node_count):
+        n = node_count
+        if n < 0:
+            raise GraphError(f"negative node count: {n}")
+        triples = None
+        if isinstance(edges, tuple) and len(edges) == 3 and isinstance(edges[0], np.ndarray):
+            src, dst = (np.asarray(a, dtype=np.int64) for a in edges[:2])
+            weight = np.asarray(edges[2], dtype=float)
+        else:
+            triples = list(edges)
+            us, vs, ws = zip(*triples) if triples else ((), (), ())
+            # an id outside [0, n) as -1, so that a huge one converts too
+            src, dst = (np.fromiter((x if 0 <= x < n else -1 for x in col), np.int64, len(col))
+                        for col in (us, vs))
+            weight = np.fromiter(map(float, ws), float, len(ws))
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        bad |= ~((0 < weight) & (weight < INF))
+        bad |= src == dst
+        # an edge is a duplicate unless it comes first among those of its key
+        key = src * n + dst if directed else np.minimum(src, dst) * n + np.maximum(src, dst)
+        order = np.argsort(key)
+        sorted_key = key[order]
+        runs = np.flatnonzero(np.diff(sorted_key, prepend=sorted_key[:1] - 1))
+        dup = np.ones(len(key), dtype=bool)
+        dup[np.minimum.reduceat(order, runs)] = False
+        bad |= dup
+        if bad.any():
+            i = int(bad.argmax())
+            u, v, w = triples[i] if triples else (src[i].item(), dst[i].item(), weight[i].item())
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"node id out of range in edge ({u}, {v})", i)
             if not 0 < w < INF:
                 kind = "non-positive" if math.isfinite(w) else "non-finite"
                 raise GraphError(f"{kind} weight {w} on edge ({u}, {v})", i)
             if u == v:
                 raise GraphError(f"self-loop at node {u}", i)
-            key = (u, v) if directed else (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphError(f"duplicate edge ({u}, {v})", i)
-            seen.add(key)
-            w = float(w)
-            edge_list.append((u, v, w))
-            out[u].append((v, w))
-            inc[v].append((u, w))
-        adj_out = tuple(tuple(a) for a in out)
-        return Graph(
-            node_count=node_count,
-            directed=directed,
-            weighted=weighted,
-            edges=tuple(edge_list),
-            _out=adj_out,
-            _in=tuple(tuple(a) for a in inc) if directed else adj_out,
-        )
+            raise GraphError(f"duplicate edge ({u}, {v})", i)
+        if directed:
+            out_arcs, in_arcs = Arcs.of(src, dst, weight, n), Arcs.of(dst, src, weight, n)
+        else:
+            # arcs u0->v0, v0->u0, u1->v1, ...: each edge's pair in edge order
+            ends = np.stack([src, dst], axis=1).reshape(-1)
+            far = np.stack([dst, src], axis=1).reshape(-1)
+            out_arcs = in_arcs = Arcs.of(ends, far, np.repeat(weight, 2), n)
+        return Graph(n, directed, weighted, src, dst, weight, out_arcs, in_arcs)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.src)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The (u, v, w) triples in input order."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
+
+    def arc_tuples(self, orientation: str = "forward") -> tuple[tuple[tuple[int, float], ...], ...]:
+        """out_arcs (forward) or in_arcs (reverse) as a tuple of (id,
+        weight) pairs per node, built on first use and kept: the listing
+        that settle and the oracle's loops read, as Python numbers."""
+        if orientation not in ("forward", "reverse"):
+            raise GraphError(f"unknown orientation {orientation!r}")
+        arcs = self.out_arcs if orientation == "forward" else self.in_arcs
+        listing = self._tuples.get(id(arcs))
+        if listing is None:
+            pairs = list(zip(arcs.ids.tolist(), arcs.weights.tolist()))
+            ptr = arcs.ptr.tolist()
+            listing = self._tuples[id(arcs)] = tuple(
+                tuple(pairs[a:b]) for a, b in zip(ptr, ptr[1:]))
+        return listing
 
     def _check_node(self, v: int) -> None:
         if not (0 <= v < self.node_count):
@@ -124,19 +169,11 @@ class Graph:
 
     def out_neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
         self._check_node(v)
-        return self._out[v]
+        return self.arc_tuples("forward")[v]
 
     def in_neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
         self._check_node(v)
-        return self._in[v]
-
-    @cached_property
-    def out_arcs(self) -> Arcs:
-        return Arcs.of(self._out)
-
-    @cached_property
-    def in_arcs(self) -> Arcs:
-        return Arcs.of(self._in) if self.directed else self.out_arcs
+        return self.arc_tuples("reverse")[v]
 
 
 def data_lines(stream) -> Iterator[tuple[int, str]]:
@@ -149,6 +186,10 @@ def data_lines(stream) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+# An id or a node count must fit an int64 array entry.
+_ID_LIMIT = np.iinfo(np.int64).max
+
+
 def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Graph:
     """Parse an edge-list text stream into a Graph.
 
@@ -157,54 +198,42 @@ def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Gr
     nodes. Node ids must be dense: every id in [0, max] must occur.
     Graph.build checks weights, self-loops and duplicates; its error is
     reported at the line of the edge it rejects.
-    """
-    declared_nodes: int | None = None
-    edges: list[tuple[int, int, float]] = []
-    edge_lines: list[int] = []
-    ids_seen: set[int] = set()
-    for lineno, line in data_lines(stream):
-        parts = line.split()
-        if parts[0] == "nodes":
-            if len(parts) != 2:
-                raise GraphError(f"line {lineno}: malformed header {line!r}")
-            try:
-                declared_nodes = int(parts[1])
-            except ValueError:
-                raise GraphError(f"line {lineno}: malformed header {line!r}") from None
-            if declared_nodes < 0:
-                raise GraphError(f"line {lineno}: negative node count in {line!r}")
-            continue
-        want = 3 if weighted else 2
-        if len(parts) != want:
-            raise GraphError(
-                f"line {lineno}: expected {want} fields, got {len(parts)}: {line!r}"
-            )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphError(f"line {lineno}: non-integer node id: {line!r}") from None
-        if u < 0 or v < 0:
-            raise GraphError(f"line {lineno}: negative node id: {line!r}")
-        w = 1.0
-        if weighted:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise GraphError(f"line {lineno}: bad weight: {line!r}") from None
-        edges.append((u, v, w))
-        edge_lines.append(lineno)
-        ids_seen.add(u)
-        ids_seen.add(v)
 
-    max_id = max(ids_seen) if ids_seen else -1
+    The lines are checked and converted all at once; only when that fails
+    does _bad_line walk them in order to name the first bad one.
+    """
+    lines = stream.splitlines() if isinstance(stream, str) else list(stream)
+    rows = [parts for parts in map(str.split, lines) if parts and not parts[0].startswith("#")]
+    heads = [parts for parts in rows if parts[0] == "nodes"]
+    if heads:
+        rows = [parts for parts in rows if parts[0] != "nodes"]
+    want = 3 if weighted else 2
+    m = len(rows)
+    try:
+        if {len(parts) for parts in heads} - {2} or {len(parts) for parts in rows} - {want}:
+            raise ValueError
+        counts = [int(parts[1]) for parts in heads]
+        cols = list(zip(*rows)) or [()] * want
+        src, dst = (np.fromiter(map(int, col), np.int64, m) for col in cols[:2])
+        weight = np.fromiter(map(float, cols[2]), float, m) if weighted else np.ones(m)
+        if min(counts, default=0) < 0 or max(counts, default=0) > _ID_LIMIT or (
+                m and min(src.min(), dst.min()) < 0):
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise _bad_line(lines, weighted) from None
+
+    max_id = max(src.max(), dst.max()).item() if m else -1
+    declared_nodes = counts[-1] if counts else None
     try:
         # every id fits, so an edge error here is a bad weight, a
         # self-loop or a duplicate, and it comes before the id checks
         g = Graph.build(
-            max(max_id + 1, declared_nodes or 0), edges, directed=directed, weighted=weighted
+            max(max_id + 1, declared_nodes or 0), (src, dst, weight),
+            directed=directed, weighted=weighted,
         )
     except GraphError as exc:
-        raise GraphError(f"line {edge_lines[exc.edge]}: {exc}") from None
+        edge_lines = (lineno for lineno, line in data_lines(lines) if line.split()[0] != "nodes")
+        raise GraphError(f"line {next(islice(edge_lines, exc.edge, None))}: {exc}") from None
     if declared_nodes is not None:
         # the header declares the id space, so isolated ids are intentional
         if declared_nodes <= max_id:
@@ -212,23 +241,61 @@ def load_edge_list(stream, directed: bool = False, weighted: bool = False) -> Gr
                 f"header declares {declared_nodes} nodes but edge ids reach {max_id}"
             )
     else:
-        missing = set(range(max_id + 1)) - ids_seen
-        if missing:
-            raise GraphError(
-                f"sparse node ids: ids {sorted(missing)[:5]} never appear in any edge"
-            )
+        seen = np.zeros(max_id + 1, dtype=bool)
+        seen[src] = seen[dst] = True
+        if not seen.all():
+            missing = np.flatnonzero(~seen)[:5].tolist()
+            raise GraphError(f"sparse node ids: ids {missing} never appear in any edge")
     return g
+
+
+def _bad_line(lines: list[str], weighted: bool) -> GraphError:
+    """The error of the first data line that fails a check, walking the
+    lines in order; an id or node count above _ID_LIMIT is reported only
+    when no line fails another check."""
+    want = 3 if weighted else 2
+    too_large = None
+    for lineno, line in data_lines(lines):
+        parts = line.split()
+        if parts[0] == "nodes":
+            if len(parts) != 2:
+                return GraphError(f"line {lineno}: malformed header {line!r}")
+            try:
+                count = int(parts[1])
+            except ValueError:
+                return GraphError(f"line {lineno}: malformed header {line!r}")
+            if count < 0:
+                return GraphError(f"line {lineno}: negative node count in {line!r}")
+            if count > _ID_LIMIT and too_large is None:
+                too_large = GraphError(f"line {lineno}: node count too large in {line!r}")
+            continue
+        if len(parts) != want:
+            return GraphError(f"line {lineno}: expected {want} fields, got {len(parts)}: {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            return GraphError(f"line {lineno}: non-integer node id: {line!r}")
+        if u < 0 or v < 0:
+            return GraphError(f"line {lineno}: negative node id: {line!r}")
+        if weighted:
+            try:
+                float(parts[2])
+            except ValueError:
+                return GraphError(f"line {lineno}: bad weight: {line!r}")
+        if max(u, v) > _ID_LIMIT and too_large is None:
+            too_large = GraphError(f"line {lineno}: node id too large: {line!r}")
+    return too_large
 
 
 def dump_edge_list(g: Graph) -> str:
     """Serialize a Graph in the load_edge_list format (round-trips)."""
-    lines = [f"nodes {g.node_count}"]
-    for u, v, w in g.edges:
-        if g.weighted:
-            lines.append(f"{u} {v} {w!r}")  # shortest exact float round-trip
-        else:
-            lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    ends = (g.src.tolist(), g.dst.tolist())
+    if g.weighted:
+        # repr: the shortest exact float round-trip
+        lines = map("{} {} {!r}".format, *ends, g.weight.tolist())
+    else:
+        lines = map("{} {}".format, *ends)
+    return "\n".join([f"nodes {g.node_count}", *lines]) + "\n"
 
 
 def settle(
@@ -246,13 +313,15 @@ def settle(
     ties out of order.)
     """
     g._check_node(source)
-    if orientation == "forward":
-        adj = g._out
-    elif orientation == "reverse":
-        adj = g._in
-    else:
-        raise GraphError(f"unknown orientation {orientation!r}")
-    dist = [INF] * g.node_count if bound is None else bound
+    adj = g.arc_tuples(orientation)
+    return settle_listing(adj, source, [INF] * g.node_count if bound is None else bound)
+
+
+def settle_listing(
+    adj: tuple[tuple[tuple[int, float], ...], ...], source: int, dist: list[float]
+) -> list[tuple[float, int]]:
+    """settle over a listing from Graph.arc_tuples, with dist as its bound
+    and no checks: for a caller that runs many searches on one graph."""
     if not 0.0 < dist[source]:
         return []
     dist[source] = 0.0
@@ -370,8 +439,8 @@ def distance_blocks(
     trees are deep in hops, plus one: a handful on a small-world graph, n
     on a path. A block still changing after as many sweeps as its settle
     rows would cost, by the model above, and every later block take
-    settle rows instead; on a graph of a dozen nodes that is every
-    unbounded block, while a bounded one stays a frontier to the end.
+    settle rows instead. Where the model allows no second sweep, as on a
+    graph of a dozen nodes, every block takes settle rows, bounded or not.
     """
     if orientation == "forward":
         arcs = g.in_arcs
@@ -389,21 +458,19 @@ def distance_blocks(
     sweeping = cap > 1
     # a frontier relaxes the arcs that a sweep gathers, listed the other way
     spread = (g.out_arcs if orientation == "forward" else g.in_arcs) if limit < INF else None
-    # with sweeps off, a frontier runs to the end
-    wide = sweep if sweeping else INF
     # a group's arcs as (d, k) columns, so the minimum runs over the outer axis
     groups = [
         (nodes, ids.T.copy(), w.T[:, :, None].copy())
         for nodes, _, ids, w in (arcs.by_degree(np.arange(n)) if sweeping else ())
     ]
     first = 0
-    while first < n and (sweeping or spread is not None):
+    while first < n and sweeping:
         sources = np.arange(first, min(first + width, n))
         cols = np.arange(len(sources))
         dist = np.full((n, len(sources)), INF)
         dist[sources, cols] = 0.0
         # sweeps when unbounded, or once the frontier grew wide
-        if spread is None or _relax_frontier(dist, spread, limit, sources, cols, wide):
+        if spread is None or _relax_frontier(dist, spread, limit, sources, cols, sweep):
             if not _sweep(dist, groups, cap, limit):
                 break
         yield dist.T

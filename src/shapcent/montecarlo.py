@@ -27,7 +27,7 @@ import numpy as np
 
 from .exact import ShapleyVector
 from .games import GameSpec, cutoff_covers, grand_value, one_hop_covers
-from .graph import Graph, settle
+from .graph import Graph, settle_listing
 
 INF = math.inf
 _node = operator.itemgetter(1)  # the node of a (distance, node) pair
@@ -176,13 +176,13 @@ def _proximity_block(g: Graph, spec: GameSpec) -> Block:
     minimum `dist` finds just those nodes and lowers them to the full
     search's bits (see settle), so f is evaluated only where a distance
     falls, and no all-pairs table is built."""
-    n, f = g.node_count, spec.decay
+    n, f, adj = g.node_count, spec.decay, g.arc_tuples("forward")
 
     def block(perms):
         (perm,) = perms
         dist, fdist, gains = [INF] * n, [0.0] * n, [0.0] * n
         for v in perm.tolist():
-            closer = settle(g, v, "forward", dist)
+            closer = settle_listing(adj, v, dist)
             closer.sort(key=_node)
             gain = 0.0
             for d, u in closer:

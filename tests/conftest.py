@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from shapcent import Graph, gen_gnp, settle
+from shapcent import Graph, GraphError, gen_gnp, settle
 from shapcent.games import GameSpec, characteristic_value
+from shapcent.graph import data_lines
 
 INF = math.inf
 
@@ -30,6 +31,110 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
                 if d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[i][k] + d[k][j]
     return d
+
+
+# The largest id or node count that an int64 holds.
+ID_LIMIT = 2**63 - 1
+
+
+def build_reference(node_count: int, edges, *, directed: bool = False):
+    """Graph.build checked and laid out one edge at a time, in Python:
+    (edges, out listing, in listing), each listing a tuple of (id,
+    weight) tuples per node; the reference for the array build."""
+    if node_count < 0:
+        raise GraphError(f"negative node count: {node_count}")
+    edge_list = []
+    seen = set()
+    out = [[] for _ in range(node_count)]
+    inc = [[] for _ in range(node_count)] if directed else out
+    for i, (u, v, w) in enumerate(edges):
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise GraphError(f"node id out of range in edge ({u}, {v})", i)
+        if not 0 < w < INF:
+            kind = "non-positive" if math.isfinite(w) else "non-finite"
+            raise GraphError(f"{kind} weight {w} on edge ({u}, {v})", i)
+        if u == v:
+            raise GraphError(f"self-loop at node {u}", i)
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphError(f"duplicate edge ({u}, {v})", i)
+        seen.add(key)
+        w = float(w)
+        edge_list.append((u, v, w))
+        out[u].append((v, w))
+        inc[v].append((u, w))
+    adj_out = tuple(tuple(a) for a in out)
+    return tuple(edge_list), adj_out, tuple(tuple(a) for a in inc) if directed else adj_out
+
+
+def load_edge_list_reference(stream, directed: bool = False, weighted: bool = False):
+    """load_edge_list one line at a time: (node count, edges, out listing,
+    in listing); the reference for the bulk parse. An id or node count
+    above ID_LIMIT, which no array holds, fails once every line passes
+    the other checks, at its first line."""
+    declared_nodes = None
+    edges = []
+    edge_lines = []
+    ids_seen = set()
+    too_large = None
+    for lineno, line in data_lines(stream):
+        parts = line.split()
+        if parts[0] == "nodes":
+            if len(parts) != 2:
+                raise GraphError(f"line {lineno}: malformed header {line!r}")
+            try:
+                declared_nodes = int(parts[1])
+            except ValueError:
+                raise GraphError(f"line {lineno}: malformed header {line!r}") from None
+            if declared_nodes < 0:
+                raise GraphError(f"line {lineno}: negative node count in {line!r}")
+            if declared_nodes > ID_LIMIT:
+                too_large = too_large or f"line {lineno}: node count too large in {line!r}"
+            continue
+        want = 3 if weighted else 2
+        if len(parts) != want:
+            raise GraphError(
+                f"line {lineno}: expected {want} fields, got {len(parts)}: {line!r}"
+            )
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphError(f"line {lineno}: non-integer node id: {line!r}") from None
+        if u < 0 or v < 0:
+            raise GraphError(f"line {lineno}: negative node id: {line!r}")
+        w = 1.0
+        if weighted:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise GraphError(f"line {lineno}: bad weight: {line!r}") from None
+        if max(u, v) > ID_LIMIT:
+            too_large = too_large or f"line {lineno}: node id too large: {line!r}"
+        edges.append((u, v, w))
+        edge_lines.append(lineno)
+        ids_seen.add(u)
+        ids_seen.add(v)
+    if too_large:
+        raise GraphError(too_large)
+
+    max_id = max(ids_seen) if ids_seen else -1
+    node_count = max(max_id + 1, declared_nodes or 0)
+    try:
+        built = build_reference(node_count, edges, directed=directed)
+    except GraphError as exc:
+        raise GraphError(f"line {edge_lines[exc.edge]}: {exc}") from None
+    if declared_nodes is not None:
+        if declared_nodes <= max_id:
+            raise GraphError(
+                f"header declares {declared_nodes} nodes but edge ids reach {max_id}"
+            )
+    else:
+        missing = set(range(max_id + 1)) - ids_seen
+        if missing:
+            raise GraphError(
+                f"sparse node ids: ids {sorted(missing)[:5]} never appear in any edge"
+            )
+    return (node_count, *built)
 
 
 def settle_rows(g: Graph, orientation: str = "forward") -> np.ndarray:

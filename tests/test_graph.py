@@ -22,8 +22,11 @@ from shapcent.graph import data_lines, distance_blocks
 from .conftest import (
     BLOCKINGS,
     BOUNDED_BLOCKINGS,
+    ID_LIMIT,
     blocking,
+    build_reference,
     floyd_warshall,
+    load_edge_list_reference,
     random_small_graph,
     settle_rows,
     tenth_hubs,
@@ -247,6 +250,137 @@ class TestEdgeListIO:
 
     def test_dump_includes_header(self, star4):
         assert dump_edge_list(star4).splitlines()[0] == "nodes 4"
+
+
+# Tokens that int() and float() read in ways a bulk parse could get wrong.
+ODD_IDS = ["+1", "1_0", "-0", "-1", "007", "x", "1.0", str(ID_LIMIT + 1), str(10**20),
+           str(-(10**20))]
+ODD_WEIGHTS = ["nan", "inf", "-inf", "1e999", "-0.0", "0", "5e-324", "-1", "1_0.5", "+2",
+               "heavy", "1e-320"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge-list text and its directed and weighted flags: edges over a
+    few ids (so duplicates either way round and sparse ids come up),
+    headers anywhere, comments, blank and whitespace lines, tabs and CRLF
+    endings, and, by a drawn set of kinds, self-loops and corrupted ids,
+    weights, field counts or headers now and then."""
+    weighted, directed = draw(st.booleans()), draw(st.booleans())
+    n = draw(st.integers(2, 8))
+    kinds = draw(st.sets(st.sampled_from(["loops", "ids", "weights", "fields", "headers"])))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % n))
+    if "loops" in kinds:
+        pair = st.one_of(pair, pair, pair, st.integers(0, n - 1).map(lambda u: (u, u)))
+    fields = pair.map(lambda p: [str(p[0]), str(p[1])])
+    if "ids" in kinds:
+        odd = st.sampled_from(ODD_IDS)
+        fields = st.one_of(fields, fields, st.tuples(fields, odd, st.booleans()).map(
+            lambda t: [t[1], t[0][1]] if t[2] else [t[0][0], t[1]]))
+    weight = st.floats(0.0, 4.0, exclude_min=True).map(repr)
+    if "weights" in kinds:
+        weight = st.one_of(weight, weight, st.sampled_from(ODD_WEIGHTS))
+    if weighted:
+        fields = st.tuples(fields, weight).map(lambda t: t[0] + [t[1]])
+    if "fields" in kinds:
+        fields = st.one_of(fields, fields, fields, fields.map(lambda f: f[:-1]),
+                           fields.map(lambda f: f + ["1"]))
+    header = st.integers(0, n + 1).map(lambda k: f"nodes {k}")
+    if "headers" in kinds:
+        header = st.one_of(header, st.sampled_from(
+            ["nodes", "nodes x", "nodes 1 2", "nodes -1", "nodes +3", "nodes 1_0",
+             f"nodes {ID_LIMIT + 1}"]))
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    edge_line = st.tuples(fields, sep, st.sampled_from(["", " ", "\t"])).map(
+        lambda t: t[2] + t[1].join(t[0]) + t[2])
+    line = st.one_of(*[edge_line] * 6, header,
+                     st.sampled_from(["", "   ", "\t", "# a comment", "  # nodes 2", "#0 1"]))
+    lines = draw(st.lists(line, max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), directed, weighted
+
+
+def _outcome(load, text, directed, weighted):
+    """The error text, or the node count, edges and arc listings with
+    each weight as its bytes."""
+    try:
+        got = load(text, directed=directed, weighted=weighted)
+    except GraphError as exc:
+        return str(exc)
+    if isinstance(got, Graph):
+        got = (got.node_count, got.edges, got.arc_tuples("forward"), got.arc_tuples("reverse"))
+    n, edges, out, inc = got
+    return (n, [(u, v, struct.pack("<d", w)) for u, v, w in edges],
+            *([[(u, struct.pack("<d", w)) for u, w in arcs] for arcs in listing]
+              for listing in (out, inc)))
+
+
+class TestBulkParse:
+    """load_edge_list and Graph.build against the per-line, per-edge
+    references in conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_texts())
+    @example(("0 1\n1 2\n1 0\n", False, False))
+    @example(("nodes 3\r\n0\t2 5e-324\r\n\r\n# c\r\n2 1 1_0.5\r\n", True, True))
+    @example((f"0 1\n1 {ID_LIMIT + 1}\n1 x\n", False, False))
+    @example((f"0 1\n1 {ID_LIMIT + 1}\n", False, False))
+    @example((f"nodes {ID_LIMIT + 1}\n0 1\n", False, False))
+    @example((f"nodes {ID_LIMIT + 1}\nnodes {ID_LIMIT + 2}\n0 {ID_LIMIT + 1}\n", False, False))
+    @example(("0 1\n1 -1\n", False, False))
+    @example(("", False, True))
+    def test_parse_matches_per_line_reference(self, case):
+        text, directed, weighted = case
+        want = _outcome(load_edge_list_reference, text, directed, weighted)
+        assert _outcome(load_edge_list, text, directed, weighted) == want
+        lines = text.splitlines(keepends=True)
+        assert _outcome(load_edge_list, lines, directed, weighted) == want
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_larger_graph_matches_per_line_reference(self, directed, weighted):
+        """Hundreds of arcs per orientation, in a shuffled order and, when
+        undirected, each edge written either way round."""
+        g = gen_gnp(120, 0.05, seed=3, weighted=weighted, directed=directed)
+        rng = np.random.default_rng(4)
+        lines = dump_edge_list(g).splitlines()
+        edges = [lines[1 + i].split() for i in rng.permutation(g.edge_count)]
+        if not directed:
+            edges = [[v, u, *w] if flip else [u, v, *w]
+                     for (u, v, *w), flip in zip(edges, rng.integers(0, 2, len(edges)))]
+        text = "\n".join([lines[0], *map(" ".join, edges)])
+        want = _outcome(load_edge_list_reference, text, directed, weighted)
+        assert isinstance(want, tuple)
+        assert _outcome(load_edge_list, text, directed, weighted) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 5), directed=st.booleans(),
+           edges=st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6),
+                                    st.sampled_from([1.0, 0.5, 2.5, 0.0, -0.0, -1.0, INF,
+                                                     -INF, math.nan, 5e-324])), max_size=10))
+    @example(n=3, directed=False, edges=[(0, 1, 1.0), (2, 1, 1.0), (1, 0, 2.0)])
+    @example(n=2, directed=True, edges=[(0, 1, 1.0), (1, 0, 1.0), (0, 1, 1.0)])
+    @example(n=2, directed=False, edges=[(0, 1, 1.0), (ID_LIMIT + 1, 0, 1.0)])
+    def test_build_matches_per_edge_reference(self, n, directed, edges):
+        """The same error text and edge position, or the same layout,
+        from the triples and from the arrays."""
+        try:
+            want = build_reference(n, edges, directed=directed)
+        except GraphError as exc:
+            want = (str(exc), exc.edge)
+        given_edges = [edges]
+        if all(abs(x) <= ID_LIMIT for u, v, _ in edges for x in (u, v)):
+            us, vs, ws = zip(*edges) if edges else ((), (), ())
+            given_edges.append((np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
+                                np.array(ws, dtype=float)))
+        for given in given_edges:
+            try:
+                g = Graph.build(n, given, directed=directed, weighted=True)
+            except GraphError as exc:
+                assert (str(exc), exc.edge) == want
+                continue
+            assert (g.edges, g.arc_tuples("forward"), g.arc_tuples("reverse")) == want
 
 
 class TestDataLines:
