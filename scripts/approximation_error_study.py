@@ -37,7 +37,9 @@ def main() -> int:
             errs = []
             for r in range(args.seeds):
                 g = gen_complete_weighted(n, seed=args.base_seed + 100 * n + r)
-                alpha = {v: sum(w for _, w in g.in_neighbors(v)) for v in range(n)}
+                # each node's in-weights are weights[ptr[v]:ptr[v + 1]]
+                ptr, weights = g.in_arcs.ptr.tolist(), g.in_arcs.weights.tolist()
+                alpha = {v: sum(weights[ptr[v] : ptr[v + 1]]) for v in range(n)}
                 cutoff = {v: frac * alpha[v] for v in range(n)}
                 approx = shapley_g5(g, cutoff, brute_force_degree_limit=2)
                 ref = brute_force_shapley(g, GameSpec.weighted_threshold(cutoff))

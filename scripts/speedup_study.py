@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from shapcent import gen_gnp, run_comparison
 from shapcent.games import GameSpec
 
@@ -28,7 +30,7 @@ def main() -> int:
     args = ap.parse_args()
 
     g = gen_gnp(args.n, args.avg_degree / (args.n - 1), seed=args.seed)
-    deg = [len(g.in_neighbors(v)) for v in range(args.n)]
+    deg = np.diff(g.in_arcs.ptr).tolist()  # in-degrees
     thresholds = [float(t) for t in args.thresholds.split(",") if t]
     scenarios = [
         ("fringe", GameSpec.fringe()),

@@ -7,9 +7,7 @@ oracle, a Monte Carlo permutation baseline, and a benchmark harness.
 
 from .bench import BenchReport, gen_complete_weighted, gen_gnp, run_comparison
 from .exact import (
-    GaussianMoment,
     ShapleyVector,
-    gaussian_interval_prob,
     shapley_g1,
     shapley_g2,
     shapley_g3,
@@ -34,7 +32,6 @@ __all__ = [
     "ConvergenceTrace",
     "DecayFn",
     "GameSpec",
-    "GaussianMoment",
     "Graph",
     "GraphError",
     "ShapleyVector",
@@ -42,7 +39,6 @@ __all__ = [
     "characteristic_value",
     "distance_matrix",
     "dump_edge_list",
-    "gaussian_interval_prob",
     "gen_complete_weighted",
     "gen_gnp",
     "grand_value",

@@ -167,14 +167,6 @@ class Graph:
         if not (0 <= v < self.node_count):
             raise GraphError(f"invalid node id {v} (graph has {self.node_count} nodes)")
 
-    def out_neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
-        self._check_node(v)
-        return self.arc_tuples("forward")[v]
-
-    def in_neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
-        self._check_node(v)
-        return self.arc_tuples("reverse")[v]
-
 
 def data_lines(stream) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each line of a text stream (a str

@@ -16,17 +16,16 @@ inside the sampling clock.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .exact import ShapleyVector
-from .games import GameSpec, cutoff_covers, grand_value, one_hop_covers
+from .games import GameSpec, cutoff_covers, grand_value
 from .graph import Graph, settle_listing
 
 INF = math.inf
@@ -100,9 +99,11 @@ def _build_block(g: Graph, spec: GameSpec) -> tuple[Block, int]:
 
     if game in ("g1", "g3"):
         # u's unit goes to the earliest arrival among u and the nodes covering it
-        covers = one_hop_covers(g) if game == "g1" else cutoff_covers(g, spec.d_cutoff_values(g))
-        owner = np.repeat(np.arange(n), [len(c) for c in covers])
-        covered = np.fromiter(itertools.chain.from_iterable(covers), np.int64, len(owner))
+        if game == "g1":
+            ptr, covered = g.out_arcs.ptr, g.out_arcs.ids
+        else:
+            ptr, covered = cutoff_covers(g, spec.d_cutoff_values(g))
+        owner = np.repeat(np.arange(n), np.diff(ptr))
         order = np.argsort(np.concatenate([np.arange(n), covered]), kind="stable")
         ids = np.concatenate([np.arange(n), owner])[order]
         count = np.bincount(covered, minlength=n) + 1
@@ -193,12 +194,6 @@ def _proximity_block(g: Graph, spec: GameSpec) -> Block:
         return np.array([gains])
 
     return block
-
-
-def permutation_contributions(g: Graph, spec: GameSpec, perm: Sequence[int]) -> list[float]:
-    """Marginal contributions of one permutation: a batch of one."""
-    block, _ = _build_block(g, spec)
-    return block(np.array(perm, dtype=np.int64).reshape(1, g.node_count))[0].tolist()
 
 
 def mc_shapley(

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from shapcent import Graph, GraphError, gen_gnp, settle
 from shapcent.games import GameSpec, characteristic_value
-from shapcent.graph import data_lines
+from shapcent.graph import Arcs, data_lines
+from shapcent.montecarlo import _build_block
 
 INF = math.inf
 
@@ -161,13 +162,14 @@ def settle_covers(g: Graph, cut) -> list[list[int]]:
     ]
 
 
-# Settings of the all-pairs sweeps under which no distance and no g4 score
-# may change: the defaults; blocks of a few sources and g4 passes of a few
-# targets; a cap of one sweep, so every block that a second sweep would
-# change takes settle rows.
+# Settings under which no distance and no g3 or g4 score may change: the
+# defaults; blocks of a few sources, g4 passes of a few targets and score
+# kernel runs of a few cover terms; a cap of one sweep, so every block that
+# a second sweep would change takes settle rows.
 BLOCKINGS = {
     "default": {},
-    "split": {"shapcent.graph._SWEEP_BLOCK": 20, "shapcent.exact._G4_ROWS": 3},
+    "split": {"shapcent.graph._SWEEP_BLOCK": 20, "shapcent.exact._G4_ROWS": 3,
+              "shapcent.exact._KERNEL_BLOCK": 3},
     "settle": {"shapcent.graph._SWEEP_CAP": 0},
 }
 # More settings for the blocks bounded by a limit, which start as a frontier
@@ -195,6 +197,42 @@ def blocking(name: str):
         for target, value in BOUNDED_BLOCKINGS[name].items():
             mp.setattr(target, value)
         yield
+
+
+def arc_lists(arcs: Arcs) -> list[list[tuple[int, float]]]:
+    """Each node's (id, weight) arcs, sliced from the CSR arrays."""
+    ids, weights, ptr = arcs.ids.tolist(), arcs.weights.tolist(), arcs.ptr.tolist()
+    return [list(zip(ids[a:b], weights[a:b])) for a, b in zip(ptr, ptr[1:])]
+
+
+def permutation_contributions(g: Graph, spec: GameSpec, perm) -> list[float]:
+    """Marginal contributions of one permutation: the sampler's block on a
+    batch of one."""
+    block = _build_block(g, spec)[0]
+    return block(np.array(perm, dtype=np.int64).reshape(1, g.node_count))[0].tolist()
+
+
+class GaussianMoment:
+    """Mean and variance of a subset-sum; sigma2 = 0 is deterministic."""
+
+    def __init__(self, mu: float, sigma2: float):
+        if sigma2 < 0:
+            raise ValueError(f"negative variance {sigma2}")
+        self.mu, self.sigma2 = mu, sigma2
+
+
+def gaussian_interval_prob(m: GaussianMoment, lo: float, hi: float) -> float:
+    """P{X in [lo, hi)} for X ~ N(mu, sigma2): the g5 Gaussian reference's
+    own copy of the interval probability. The degenerate sigma2 = 0 case
+    keeps the half-open interval of the g5 contribution condition."""
+    if lo > hi:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    if m.sigma2 == 0.0:
+        return 1.0 if lo <= m.mu < hi else 0.0
+    s = math.sqrt(2.0 * m.sigma2)
+    a = math.erf((lo - m.mu) / s) if lo != -INF else -1.0
+    b = math.erf((hi - m.mu) / s) if hi != INF else 1.0
+    return max(0.0, 0.5 * (b - a))
 
 
 def permutation_shapley(g: Graph, spec: GameSpec) -> list[float]:

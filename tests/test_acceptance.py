@@ -29,7 +29,8 @@ from shapcent import (
 )
 from shapcent.cli import main
 from shapcent.games import DecayFn, GameSpec, characteristic_value
-from shapcent.montecarlo import permutation_contributions
+
+from .conftest import permutation_contributions
 
 
 @pytest.fixture
@@ -61,7 +62,7 @@ def test_exact_solvers_match_oracle_on_random_graphs(verdict):
         p = float(rng.choice([0.3, 0.6]))
         directed = bool(i % 2)
         g = gen_gnp(n, p, seed=1000 + i, weighted=True, directed=directed)
-        deg = [len(g.in_neighbors(v)) for v in range(n)]
+        deg = np.diff(g.in_arcs.ptr).tolist()
         k_map = {v: int(rng.integers(1, deg[v] + 2)) for v in range(n)}
         cut_map = {v: float(rng.uniform(0.5, 2.0)) for v in range(n)}
         specs = [
@@ -172,10 +173,11 @@ def test_permutation_position_frequencies(verdict):
     checks = []  # (label, expected, observed)
 
     # first arrival within N(v_j) + v_j: probability 1 / (1 + deg(v_j))
-    nb1 = [u for u, _ in g.out_neighbors(1)]
+    ptr, ids = g.out_arcs.ptr, g.out_arcs.ids
+    nb1 = ids[ptr[1] : ptr[2]].tolist()
     first = np.all(pos[:, [0]] < pos[:, [v for v in nb1 + [1] if v != 0]], axis=1)
     checks.append(("first-in-neighborhood deg3", 1.0 / 4.0, freq(first)))
-    nb4 = [u for u, _ in g.out_neighbors(4)]
+    nb4 = ids[ptr[4] : ptr[5]].tolist()
     first5 = np.all(pos[:, [5]] < pos[:, [v for v in nb4 + [4] if v != 5]], axis=1)
     checks.append(("first-in-neighborhood deg3 (far side)", 1.0 / 4.0, freq(first5)))
 
@@ -259,9 +261,8 @@ def test_gaussian_approximation_error_bands(verdict):
             errs = []
             for r in range(30):
                 g = gen_complete_weighted(n, seed=5000 + 100 * n + r)
-                alpha = {
-                    v: sum(w for _, w in g.in_neighbors(v)) for v in range(n)
-                }
+                ptr, w = g.in_arcs.ptr.tolist(), g.in_arcs.weights.tolist()
+                alpha = {v: sum(w[ptr[v] : ptr[v + 1]]) for v in range(n)}
                 cutoff = {v: frac * alpha[v] for v in range(n)}
                 spec = GameSpec.weighted_threshold(cutoff)
                 approx = shapley_g5(g, cutoff, brute_force_degree_limit=2)
@@ -282,7 +283,7 @@ def test_gaussian_approximation_error_bands(verdict):
 def test_exact_solver_speedup_over_sampling(verdict):
     """Linear-time solvers beat sampling-to-10%-error by at least 10x."""
     g = gen_gnp(1000, 5.0 / 999.0, seed=424242)
-    deg = [len(g.in_neighbors(v)) for v in range(1000)]
+    deg = np.diff(g.in_arcs.ptr).tolist()
     specs = [
         ("fringe", GameSpec.fringe()),
         ("threshold", GameSpec.threshold({v: max(1, deg[v] // 2) for v in range(1000)})),

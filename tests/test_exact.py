@@ -11,12 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapcent import (
-    GaussianMoment,
     Graph,
     settle,
     ShapleyVector,
     distance_matrix,
-    gaussian_interval_prob,
     shapley_g1,
     shapley_g2,
     shapley_g3,
@@ -25,15 +23,18 @@ from shapcent import (
     solve,
 )
 from shapcent.bench import gen_complete_weighted, gen_gnp
-from shapcent.exact import _coverage, read_scores
+from shapcent.exact import _gaussian_sum, read_scores
 from shapcent.games import _DECAY_PROBE, DecayFn, GameSpec, GameSpecError, cutoff_covers
-from shapcent.montecarlo import permutation_contributions
 from shapcent.oracle import brute_force_shapley
 
 from .conftest import (
     BLOCKINGS,
     BOUNDED_BLOCKINGS,
+    GaussianMoment,
+    arc_lists,
     blocking,
+    gaussian_interval_prob,
+    permutation_contributions,
     random_small_graph,
     settle_covers,
     settle_rows,
@@ -108,6 +109,14 @@ class TestGaussianIntervalProb:
         probs = [gaussian_interval_prob(m, 0.0, hi) for hi in (0.2, 0.5, 1.0, 2.0)]
         assert probs == sorted(probs)
 
+    def test_solver_sum_keeps_the_degenerate_interval_half_open(self):
+        # four weights of 0.5 have no spread, so every S_m = m / 4 * 2.0
+        # is exact: 0.0, 0.5, 1.0, 1.5, 2.0, each counted once if in [lo, hi)
+        ones = [1.0] * 5
+        assert _gaussian_sum(2.0, 1.0, -INF, 1.0, ones) == 2.0
+        assert _gaussian_sum(2.0, 1.0, 1.0, 2.0, ones) == 2.0
+        assert _gaussian_sum(2.0, 1.0, 0.5, 1.5, [1.0, 0.5, 0.25, 0.125, 1.0]) == 0.75
+
 
 class TestFringeSolver:
     def test_path_values(self, path3):
@@ -140,6 +149,22 @@ class TestThresholdSolver:
     def test_invalid_k_propagates(self, star4):
         with pytest.raises(GameSpecError):
             shapley_g2(star4, 5)
+
+
+def _cover_lists(ptr, ids) -> list[list[int]]:
+    """A CSR cover pair as one list of covered ids per node."""
+    return [ids[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+def _coverage_reference(covers) -> tuple[float, ...]:
+    """The coverage game's closed form over cover lists: each node's cover
+    count, then one fsum per node of its own term and its covers' terms."""
+    count = [0] * len(covers)
+    for cov in covers:
+        for u in cov:
+            count[u] += 1
+    inv = [1.0 / (1.0 + c) for c in count]
+    return tuple(math.fsum([inv[v], *[inv[u] for u in cov]]) for v, cov in enumerate(covers))
 
 
 class TestCutoffSolver:
@@ -190,11 +215,11 @@ class TestCutoffSolver:
         cutoff = st.sampled_from(on) | st.floats(1e-3, 2 * on[-1] + 1.0)
         cut = data.draw(st.lists(cutoff, min_size=n, max_size=n) | st.just(past))
         with blocking(blocks):
-            covers = cutoff_covers(g, cut)
+            covers = _cover_lists(*cutoff_covers(g, cut))
             got = shapley_g3(g, dict(enumerate(cut))).scores
         want = settle_covers(g, cut)
         assert covers == [sorted(cov) for cov in want]
-        assert _bits(got) == _bits(_coverage(want))
+        assert _bits(got) == _bits(_coverage_reference(want))
 
 
 class TestCoverageReductions:
@@ -364,7 +389,7 @@ class TestProximityBlocks:
         monkeypatch.setattr("shapcent.graph.settle", None)  # no settle row
         monkeypatch.setattr("shapcent.graph._sweep", None)  # and no sweep
         got = shapley_g4(g, f).scores
-        covers = cutoff_covers(g, [50.0] * 1000)
+        covers = _cover_lists(*cutoff_covers(g, [50.0] * 1000))
         monkeypatch.undo()
         assert _bits(got) == _bits(g4_reference(g, f))
         assert covers == [sorted(cov) for cov in settle_covers(g, [50.0] * 1000)]
@@ -410,7 +435,7 @@ def g5_reference(g: Graph, w_cutoff, limit: int) -> tuple[float, ...]:
     reference for the vectorised enumeration."""
     wc = GameSpec.weighted_threshold(w_cutoff).w_cutoff_values(g)
     n = g.node_count
-    in_adj = [g.in_neighbors(v) for v in range(n)]
+    in_adj, out_adj = arc_lists(g.in_arcs), arc_lists(g.out_arcs)
     alpha = [sum(w for _, w in adj) for adj in in_adj]
     beta = [sum(w * w for _, w in adj) for adj in in_adj]
     deg = [len(adj) for adj in in_adj]
@@ -472,7 +497,7 @@ def g5_reference(g: Graph, w_cutoff, limit: int) -> tuple[float, ...]:
     scores = []
     for vi in range(n):
         s = self_term(vi)
-        for vj, wij in g.out_neighbors(vi):
+        for vj, wij in out_adj[vi]:
             s += cross_term(vi, vj, wij)
         scores.append(s)
     return tuple(scores)
@@ -629,7 +654,7 @@ class TestSolveDispatch:
 
 
 def _twin_specs(g: Graph) -> list[GameSpec]:
-    k = {v: 1 + len(g.in_neighbors(v)) // 2 for v in range(g.node_count)}
+    k = {v: 1 + d // 2 for v, d in enumerate(np.diff(g.in_arcs.ptr).tolist())}
     return [
         GameSpec.fringe(),
         GameSpec.threshold(k),

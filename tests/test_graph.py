@@ -23,6 +23,7 @@ from .conftest import (
     BLOCKINGS,
     BOUNDED_BLOCKINGS,
     ID_LIMIT,
+    arc_lists,
     blocking,
     build_reference,
     floyd_warshall,
@@ -69,8 +70,9 @@ class TestBuild:
     def test_reversed_pair_allowed_when_directed(self):
         g = Graph.build(3, [(0, 1, 1.0), (1, 0, 2.0)], directed=True)
         assert g.edge_count == 2
-        assert dict(g.out_neighbors(0))[1] == 1.0
-        assert dict(g.out_neighbors(1))[0] == 2.0
+        out = arc_lists(g.out_arcs)
+        assert dict(out[0])[1] == 1.0
+        assert dict(out[1])[0] == 2.0
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -91,26 +93,25 @@ class TestBuild:
 
     def test_isolated_nodes_allowed(self):
         g = Graph.build(5, [(0, 1, 1.0)])
-        assert len(g.in_neighbors(4)) == 0
+        assert np.diff(g.in_arcs.ptr)[4] == 0
 
 
 class TestQueries:
     def test_in_and_out_degree_directed(self):
         g = Graph.build(3, [(0, 1, 1.0), (2, 1, 1.0)], directed=True)
-        assert len(g.in_neighbors(1)) == 2
-        assert len(g.out_neighbors(1)) == 0
-        assert len(g.out_neighbors(0)) == 1
+        assert np.diff(g.in_arcs.ptr).tolist() == [0, 2, 0]
+        assert np.diff(g.out_arcs.ptr).tolist() == [1, 0, 1]
 
     def test_undirected_adjacency_symmetric(self, path3):
-        assert dict(path3.out_neighbors(1)) == {0: 1.0, 2: 1.0}
-        assert all(path3.in_neighbors(v) is path3.out_neighbors(v) for v in range(3))
+        assert dict(arc_lists(path3.out_arcs)[1]) == {0: 1.0, 2: 1.0}
+        assert path3.in_arcs is path3.out_arcs
 
     def test_edge_weight_absent_is_zero(self, path3):
-        assert 2 not in dict(path3.out_neighbors(0))
+        assert 2 not in dict(arc_lists(path3.out_arcs)[0])
 
     def test_invalid_node_query(self, path3):
         with pytest.raises(GraphError, match="invalid node id"):
-            path3.out_neighbors(3)
+            settle(path3, 3)
 
 
 @st.composite
@@ -131,18 +132,19 @@ class TestArcs:
         g, nodes = case
         assert (g.in_arcs is g.out_arcs) is not g.directed
         assert g.out_arcs is g.out_arcs
-        for arcs, listing in ((g.out_arcs, g.out_neighbors), (g.in_arcs, g.in_neighbors)):
+        for arcs, orientation in ((g.out_arcs, "forward"), (g.in_arcs, "reverse")):
+            listing = g.arc_tuples(orientation)
             assert len(arcs.ptr) == g.node_count + 1 and arcs.ptr[0] == 0
             assert arcs.ptr[-1] == len(arcs.ids) == len(arcs.weights)
             for v in range(g.node_count):
                 row = slice(arcs.ptr[v], arcs.ptr[v + 1])
-                assert arcs.ids[row].tolist() == [u for u, _ in listing(v)]
-                want = np.array([w for _, w in listing(v)], dtype=float)
+                assert arcs.ids[row].tolist() == [u for u, _ in listing[v]]
+                want = np.array([w for _, w in listing[v]], dtype=float)
                 assert arcs.weights[row].tobytes() == want.tobytes()
 
             groups = list(arcs.by_degree(np.array(nodes, dtype=np.int64)))
             assert [v for group, *_ in groups for v in group.tolist()] == sorted(
-                (v for v in nodes if listing(v)), key=lambda v: (len(listing(v)), nodes.index(v))
+                (v for v in nodes if listing[v]), key=lambda v: (len(listing[v]), nodes.index(v))
             )
             for group, pos, ids, weights in groups:
                 for v, at, nbrs, ws in zip(group, pos, ids, weights):
@@ -172,17 +174,17 @@ class TestEdgeListIO:
 
     def test_weighted_parse(self):
         g = load_edge_list("0 1 0.5\n1 2 2.5\n", weighted=True)
-        assert dict(g.out_neighbors(1))[2] == 2.5
+        assert dict(arc_lists(g.out_arcs)[1])[2] == 2.5
 
     def test_header_declares_trailing_isolated_nodes(self):
         g = load_edge_list("nodes 5\n0 1\n")
         assert g.node_count == 5
-        assert len(g.in_neighbors(4)) == 0
+        assert np.diff(g.in_arcs.ptr)[4] == 0
 
     def test_header_permits_interior_isolated_nodes(self):
         g = load_edge_list("nodes 4\n0 2\n2 3\n")
         assert g.node_count == 4
-        assert len(g.in_neighbors(1)) == 0
+        assert np.diff(g.in_arcs.ptr)[1] == 0
 
     def test_header_below_max_id_rejected(self):
         with pytest.raises(GraphError, match="declares 2 nodes"):

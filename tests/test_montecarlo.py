@@ -15,12 +15,18 @@ from shapcent.games import (
     GameSpec,
     characteristic_value,
     grand_value,
-    one_hop_covers,
 )
 from shapcent.graph import distance_matrix
-from shapcent.montecarlo import ConvergenceTrace, permutation_contributions
+from shapcent.montecarlo import ConvergenceTrace
 
-from .conftest import random_small_graph, settle_covers, tenth_hubs, unit_graphs
+from .conftest import (
+    arc_lists,
+    permutation_contributions,
+    random_small_graph,
+    settle_covers,
+    tenth_hubs,
+    unit_graphs,
+)
 
 INF = math.inf
 
@@ -32,10 +38,11 @@ def reference_block(g: Graph, spec: GameSpec):
     accumulator, and returns the iteration's total."""
     n = g.node_count
     game = spec.game
+    out_ids = [[u for u, _ in adj] for adj in arc_lists(g.out_arcs)]
 
     if game in ("g1", "g3"):
         # g1 is the coverage game of g3 over the one-hop covers
-        covers = one_hop_covers(g) if game == "g1" else settle_covers(g, spec.d_cutoff_values(g))
+        covers = out_ids if game == "g1" else settle_covers(g, spec.d_cutoff_values(g))
         stamp = [0] * n
         epoch = [0]
 
@@ -60,7 +67,7 @@ def reference_block(g: Graph, spec: GameSpec):
 
     if game == "g2":
         k = spec.k_values(g)
-        nbrs = one_hop_covers(g)
+        nbrs = out_ids
         stamp = [0] * n
         edge_stamp = [0] * n
         edges = [0] * n
@@ -116,7 +123,7 @@ def reference_block(g: Graph, spec: GameSpec):
 
     # g5
     wc = spec.w_cutoff_values(g)
-    adj = [list(g.out_neighbors(v)) for v in range(n)]
+    adj = arc_lists(g.out_arcs)
     stamp = [0] * n
     w_stamp = [0] * n
     wsum = [0.0] * n
@@ -179,7 +186,7 @@ def _specs_for(g):
 
 
 def _parity_specs(g: Graph) -> list[GameSpec]:
-    deg = [len(g.in_neighbors(v)) for v in range(g.node_count)]
+    deg = np.diff(g.in_arcs.ptr).tolist()
     return [
         GameSpec.fringe(),
         # every k from 1 to 1 + deg, the last never reached by neighbors
