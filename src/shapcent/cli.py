@@ -7,6 +7,8 @@ an explicit --seed so every emitted number is reproducible. Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -24,11 +26,16 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | Path | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return
+    # No O_TRUNC: on ext4 (auto_da_alloc) truncating a just-written file to zero
+    # waits for a flush of its old data; overwrite in place, then cut the tail.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _parse_decay(token: str) -> Decay:
@@ -243,10 +250,10 @@ def _cmd_bench(args) -> int:
     if args.out_dir is not None:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.csv").write_text(report.to_csv())
-        (out / "report.txt").write_text(report.format_table())
+        _write_text(out / "report.csv", report.to_csv())
+        _write_text(out / "report.txt", report.format_table())
         for r, trace in enumerate(traces):
-            (out / f"trace_{r:03d}.csv").write_text(trace.to_csv())
+            _write_text(out / f"trace_{r:03d}.csv", trace.to_csv())
     sys.stdout.write(report.format_table())
     return 0
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 
 from shapcent.cli import main
@@ -262,6 +265,18 @@ class TestBenchCommand:
         assert (out_dir / "trace_001.csv").exists()
         assert "speedup" in capsys.readouterr().out
 
+    def test_rerun_into_same_dir_rewrites_report(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        assert main(["gen", "gnp", "-n", "20", "-p", "0.3", "--seed", "2",
+                     "--output", str(graph)]) == 0
+        out_dir = tmp_path / "bench"
+        for thresholds in ("0.5,0.25,0.1", "0.25"):
+            assert main(["bench", "--game", "g1", "--input", str(graph),
+                         "--thresholds", thresholds, "--runs", "2", "--iters", "2000",
+                         "--seed", "10", "--out-dir", str(out_dir)]) == 0
+            # the report holds wall times, so compare it with this run's stdout
+            assert (out_dir / "report.txt").read_text() == capsys.readouterr().out
+
     @pytest.fixture
     def graph20(self, tmp_path):
         graph = tmp_path / "g.txt"
@@ -288,3 +303,91 @@ class TestBenchCommand:
                    "--runs", "1", "--iters", "100", "--seed", "1", "--threads", threads])
         assert rc == 2
         assert "workers must be >= 1" in capsys.readouterr().err
+
+
+class TestOutputFiles:
+    """Every file the CLI writes is rewritten in place: the bytes are those of
+    stdout, whatever the path held before, and the path keeps its inode."""
+
+    @pytest.fixture
+    def ref(self, path3_file, tmp_path):
+        ref = tmp_path / "ref.csv"
+        assert main(["exact", "--game", "g1", "--input", path3_file,
+                     "--output", str(ref)]) == 0
+        return str(ref)
+
+    def _argv(self, kind, path3_file, ref, out):
+        if kind == "exact":
+            return ["exact", "--game", "g1", "--input", path3_file, "--output", out]
+        if kind == "gen":
+            return ["gen", "gnp", "-n", "12", "-p", "0.3", "--seed", "4", "--output", out]
+        return ["mc", "--game", "g1", "--input", path3_file, "--iters", "50", "--seed", "3",
+                "--reference", ref, "--output", os.devnull, "--trace-out", out]
+
+    @staticmethod
+    def _without_elapsed(text):
+        return [(row[0], row[2]) for row in (line.split(",") for line in text.splitlines())]
+
+    @pytest.mark.parametrize("kind", ["exact", "gen", "mc"])
+    @pytest.mark.parametrize("old", ["x" * 5000 + "\n", "y\n", ""],
+                             ids=["longer", "shorter", "empty"])
+    def test_overwrite_equals_stdout(self, path3_file, ref, tmp_path, capsys, kind, old):
+        assert main(self._argv(kind, path3_file, ref, "-")) == 0
+        want = capsys.readouterr().out
+        out = tmp_path / "out.csv"
+        out.write_text(old)
+        mode = 0o640
+        os.chmod(out, mode)
+        inode = out.stat().st_ino
+        assert main(self._argv(kind, path3_file, ref, str(out))) == 0
+        got = out.read_text()
+        if kind == "mc":  # the trace's elapsed_ms column is wall time
+            assert self._without_elapsed(got) == self._without_elapsed(want)
+        else:
+            assert got == want
+        assert out.stat().st_ino == inode
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    def test_symlink_writes_through_to_target(self, path3_file, tmp_path, capsys):
+        assert main(["exact", "--game", "g1", "--input", path3_file]) == 0
+        want = capsys.readouterr().out
+        target = tmp_path / "target.csv"
+        target.write_text("z" * 1000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["exact", "--game", "g1", "--input", path3_file,
+                     "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text() == want
+
+    def test_dev_null_output_exits_0(self, path3_file):
+        assert main(["exact", "--game", "g1", "--input", path3_file,
+                     "--output", os.devnull]) == 0
+
+    def test_directory_output_exits_2(self, path3_file, tmp_path, capsys):
+        rc = main(["exact", "--game", "g1", "--input", path3_file,
+                   "--output", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"shapcent: error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        )
+
+    def test_existing_output_is_not_opened_with_o_trunc(self, path3_file, tmp_path,
+                                                        monkeypatch):
+        # truncating a just-written file to zero can wait for a flush of its old
+        # data (ext4 auto_da_alloc), so the writer must never ask for O_TRUNC
+        out = tmp_path / "scores.csv"
+        out.write_text("x" * 5000)
+        calls = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            calls.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        assert main(["exact", "--game", "g1", "--input", path3_file,
+                     "--output", str(out)]) == 0
+        flags = [f for p, f in calls if p == str(out)]
+        assert flags, "the output was not opened through os.open"
+        assert not any(f & os.O_TRUNC for f in flags)
